@@ -16,15 +16,9 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import (
-    bench_batch_count,
-    drop_metric,
-    record_metric,
-    record_table,
-)
-from repro.bench import SCALE_TIERS, generate_token_sets, run_scale_sweep
+from benchmarks.conftest import bench_batch_count, record_metric, record_table
+from repro.bench import generate_token_sets
 from repro.grammar.standard import build_standard_grammar
-from repro.parser import is_compiled
 from repro.parser.parser import BestEffortParser, ParserConfig
 
 
@@ -117,8 +111,7 @@ def test_parse_time_batch_120(benchmark):
     elapsed = min(walls)
     record_table(
         "Section 5.1: batch parse time (120 interfaces)",
-        f"interfaces: {len(token_sets)}, average size: {average_size:.1f} "
-        f"tokens, {parser.kernel} kernel\n"
+        f"interfaces: {len(token_sets)}, average size: {average_size:.1f} tokens\n"
         f"measured: {elapsed:.2f} s total "
         f"({1000 * elapsed / len(token_sets):.1f} ms/interface, best of "
         f"{len(walls)} rounds)\n"
@@ -127,8 +120,6 @@ def test_parse_time_batch_120(benchmark):
     benchmark.extra_info["interfaces"] = len(token_sets)
     benchmark.extra_info["average_size"] = round(average_size, 1)
     benchmark.extra_info["total_seconds"] = round(elapsed, 3)
-    record_metric("batch120.kernel", parser.kernel)
-    record_metric("batch120.compiled", is_compiled())
     record_metric("batch120.seminaive.wall_seconds", round(elapsed, 4))
     record_metric(
         "batch120.seminaive.wall_rounds", [round(w, 4) for w in walls]
@@ -144,9 +135,9 @@ def test_parse_time_batch_seminaive_vs_naive(benchmark):
     """Semi-naive fix-point vs the legacy naive loop on the 120 corpus.
 
     The semi-naive evaluator (frontier deltas + declarative spatial
-    bounds + band indexing) is a pure performance transformation -- the
-    equivalence suite pins identical output -- so the whole difference
-    here is enumeration avoided.
+    bounds + geometry-table prefiltering) is a pure performance
+    transformation -- the equivalence suite pins identical output -- so
+    the whole difference here is enumeration avoided.
     """
     token_sets = _token_sets(bench_batch_count(), 14, 32, base_seed=61_000)
     grammar = build_standard_grammar()
@@ -165,9 +156,6 @@ def test_parse_time_batch_seminaive_vs_naive(benchmark):
     )
     combo_ratio = naive_combos / max(1, fast_combos)
     speedup = naive_seconds / max(1e-9, fast_seconds)
-    # Both legs ran in this process, so one build stamp covers the pair;
-    # the regression gate refuses to compare runs whose stamps differ.
-    record_metric("batch120.compiled", is_compiled())
     record_metric("batch120.naive.wall_seconds", round(naive_seconds, 4))
     record_metric("batch120.naive.combos_examined", naive_combos)
     record_metric("batch120.seminaive.combos_examined", fast_combos)
@@ -184,71 +172,3 @@ def test_parse_time_batch_seminaive_vs_naive(benchmark):
     # Acceptance bars for the rewrite.
     assert combo_ratio >= 3.0
     assert speedup >= 2.0
-
-
-#: Forms feeding the scaling sweep: enough for one 16-form soup on the
-#: largest tier.  Fixed rather than ``REPRO_BENCH_BATCH``-scaled -- the
-#: sweep measures pool *size* effects, so its workload must not drift
-#: with the batch knob.
-SCALE_SWEEP_FORMS = 16
-
-
-def test_parse_time_pool_scaling(benchmark):
-    """Pool-size scaling: the kernel x compilation matrix per tier.
-
-    Wild-web pages pool far more tokens than any single synthetic form
-    (the deep-web crawls motivating the paper routinely do), and both
-    the vector kernel's margin and ahead-of-time compilation pay more
-    the bigger the pool.  The sweep stacks the standard forms into
-    ~4x/16x token soups and records best-of-3 wall per
-    (tier, kernel, core build) cell; cells of one tier must agree on
-    the work counters, so a speedup is never quoted between cells that
-    did different work (``run_scale_sweep`` enforces it).
-    """
-    token_sets = _token_sets(SCALE_SWEEP_FORMS, 14, 32, base_seed=61_000)
-    # CI smoke runs shrink the batch knob; follow with fewer rounds, not
-    # a different workload.
-    repeats = 3 if bench_batch_count() >= 120 else 1
-
-    sweep = benchmark.pedantic(
-        lambda: run_scale_sweep(token_sets, repeats=repeats),
-        rounds=1,
-        iterations=1,
-    )
-
-    record_metric("batch120.scale.compiled_available", sweep.compiled_available)
-    tier_names = [name for name, _, _ in SCALE_TIERS]
-    for tier, (soups, avg_tokens) in sweep.tiers.items():
-        record_metric(f"batch120.scale.{tier}.soups", soups)
-        record_metric(f"batch120.scale.{tier}.avg_tokens", round(avg_tokens, 1))
-    for kernel in ("vector", "scalar"):
-        for core_name in ("interpreted", "compiled"):
-            for tier in tier_names:
-                key = f"batch120.scale.{tier}.{kernel}.{core_name}.wall_seconds"
-                cell = sweep.cell(tier, kernel, core_name)
-                if cell is None:
-                    # A leg this run could not measure (no numpy, or no
-                    # compiled build): drop it so a stale number from an
-                    # earlier environment never survives the merge.
-                    drop_metric(key)
-                else:
-                    record_metric(key, round(cell.wall_seconds, 4))
-    largest = tier_names[-1]
-    best_kernel = "vector" if sweep.cell(largest, "vector", "interpreted") else "scalar"
-    speedup = sweep.compiled_speedup(largest, best_kernel)
-    if speedup is None:
-        drop_metric("batch120.scale.compiled_speedup")
-    else:
-        record_metric("batch120.scale.compiled_speedup", round(speedup, 2))
-
-    record_table(
-        "Pool-size scaling sweep (kernel x compilation matrix)",
-        sweep.describe(),
-    )
-    # The tiers genuinely escalate pool size.
-    sizes = [sweep.tiers[tier][1] for tier in tier_names]
-    assert sizes == sorted(sizes)
-    assert sizes[-1] >= 10 * sizes[0]
-    # Every measured cell did identical work per tier (enforced inside
-    # run_scale_sweep); the largest tier must actually have run.
-    assert sweep.tiers[largest][0] >= 1

@@ -30,22 +30,6 @@ recorded on >= 4 usable cores with pooled speedup >= 2.5x -- the CI
 ``bench-multicore`` job's gate, proving the pool path actually scales
 rather than silently certifying overhead on a small runner.
 
-Every speedup comparison is keyed on the **recorded** build stamps
-(``batch120.compiled``, ``batch120.kernel``,
-``batch120.scale.compiled_available``), never on the environment running
-this script: a compiled run is never gated against an interpreted
-baseline or vice versa.  In-process ratios (``combo_reduction``,
-``singleprocess_speedup``, ``cached.speedup``) measure both legs inside
-one process and therefore one build; the cross-build ratio
-(``scale.compiled_speedup``) is only graded when the report says both
-builds actually ran, and compiled scale cells surviving in a report
-stamped interpreted-only are flagged as a stale merge.
-
-``--require-compiled`` checks the compiled gate *only*: it fails unless
-the report was recorded with the mypyc build importable and the largest
-pool tier shows >= 1.5x compiled-vs-interpreted speedup -- the CI
-``compiled-build`` job's gate.
-
 Absolute wall-clock numbers are reported for context but never gated --
 they measure the machine, not the code.
 """
@@ -60,9 +44,9 @@ from pathlib import Path
 # Tolerances.  Current measured values: ~436 combos/form on the full
 # 120-interface corpus (~504 on the 30-interface smoke batch, whose form
 # mix skews larger), 7.5x combo reduction, 1.0 cache hit rate, >20x
-# cached speedup.  A lost prefilter or band index blows combos/form up
-# by an order of magnitude, so ~10% headroom over the smoke value still
-# catches every real regression.
+# cached speedup.  A lost prefilter blows combos/form up by an order of
+# magnitude, so ~10% headroom over the smoke value still catches every
+# real regression.
 MAX_COMBOS_PER_FORM = 560.0
 MIN_COMBO_REDUCTION = 3.0
 MIN_CACHE_HIT_RATE = 0.95
@@ -75,9 +59,6 @@ MIN_PARALLEL_SPEEDUP_2CORE = 1.2
 # The CI bench-multicore gate (``--require-multicore``).
 MULTICORE_MIN_CORES = 4
 MULTICORE_MIN_SPEEDUP = 2.5
-# The CI compiled-build gate (``--require-compiled``): compiled vs
-# interpreted core on the largest pool tier, best-of-3 both legs.
-MIN_COMPILED_SPEEDUP = 1.5
 # Single-core allowance, mirroring bench_batch_parallel.py.
 SINGLE_CORE_SLACK = 1.35
 SINGLE_CORE_STARTUP_SECONDS = 0.5
@@ -90,55 +71,7 @@ def _require(metrics: dict, key: str) -> float:
     return metrics[key]
 
 
-def _check_build_stamps(metrics: dict, problems: list[str], gate) -> None:
-    """Stamp-keyed checks for the compiled-core scale sweep.
-
-    The compiled-vs-interpreted ratio is only meaningful when the report
-    itself says both builds ran (``scale.compiled_available``); compiled
-    cells or a speedup surviving in an interpreted-only report mean a
-    stale merge, which would grade one build against the other.
-    """
-    compiled_stamp = metrics.get("batch120.compiled")
-    if compiled_stamp is not None:
-        print(
-            f"  build stamps: compiled={compiled_stamp}, "
-            f"kernel={metrics.get('batch120.kernel', '?')}"
-        )
-    available = bool(metrics.get("batch120.scale.compiled_available", False))
-    stale_cells = [
-        key
-        for key in metrics
-        if key.startswith("batch120.scale.")
-        and ".compiled." in key
-        and not available
-    ]
-    for key in stale_cells:
-        problems.append(
-            f"{key} recorded but scale.compiled_available is false -- "
-            f"stale merge: a compiled run's cells would be compared "
-            f"against an interpreted run's"
-        )
-    if "batch120.scale.compiled_speedup" in metrics:
-        if not available:
-            problems.append(
-                "scale.compiled_speedup recorded without a compiled "
-                "build stamp -- refusing to grade a cross-build ratio "
-                "whose legs may come from different runs"
-            )
-        else:
-            speedup = metrics["batch120.scale.compiled_speedup"]
-            gate(
-                "compiled-core speedup (largest pool tier)", speedup,
-                speedup >= MIN_COMPILED_SPEEDUP,
-                f">= {MIN_COMPILED_SPEEDUP:g}",
-            )
-
-
-def check(
-    metrics: dict,
-    require_multicore: bool = False,
-    require_compiled: bool = False,
-) -> list[str]:
+def check(metrics: dict, require_multicore: bool = False) -> list[str]:
     """All regression findings for one metrics report (empty = pass)."""
     problems: list[str] = []
 
@@ -147,32 +80,6 @@ def check(
         print(f"  {status}  {label} = {value:g}  (bar: {bar})")
         if not ok:
             problems.append(f"{label} = {value:g} violates {bar}")
-
-    if require_compiled:
-        # The CI compiled-build job's gate: the report must have been
-        # recorded with the mypyc build importable, and the largest pool
-        # tier must show the compiled margin.
-        available = bool(
-            metrics.get("batch120.scale.compiled_available", False)
-        )
-        gate(
-            "compiled build available", int(available), available,
-            "compiled core importable in the bench run",
-        )
-        if "batch120.scale.compiled_speedup" in metrics:
-            speedup = _require(metrics, "batch120.scale.compiled_speedup")
-            gate(
-                "compiled-core speedup (largest pool tier)", speedup,
-                speedup >= MIN_COMPILED_SPEEDUP,
-                f">= {MIN_COMPILED_SPEEDUP:g}",
-            )
-        else:
-            problems.append(
-                "no compiled-core speedup was measured -- the "
-                "compiled-build job must run the scaling sweep with the "
-                "mypyc build installed"
-            )
-        return problems
 
     if not require_multicore:
         forms = _require(metrics, "batch120.forms")
@@ -199,7 +106,6 @@ def check(
             cached_speedup >= MIN_CACHED_SPEEDUP,
             f">= {MIN_CACHED_SPEEDUP:g}",
         )
-        _check_build_stamps(metrics, problems, gate)
     cores = int(metrics.get("batch120.parallel.usable_cores", 1))
     skipped = bool(
         metrics.get("batch120.parallel.skipped")
@@ -264,10 +170,6 @@ def main(argv: list[str]) -> int:
     cli.add_argument("--require-multicore", action="store_true",
                      help="fail unless the report was recorded on >= 4 "
                           "usable cores with pooled speedup >= 2.5x")
-    cli.add_argument("--require-compiled", action="store_true",
-                     help="fail unless the report was recorded with the "
-                          "mypyc-compiled core importable and >= 1.5x "
-                          "compiled speedup on the largest pool tier")
     args = cli.parse_args(argv[1:])
     path = Path(args.report)
     try:
@@ -276,11 +178,7 @@ def main(argv: list[str]) -> int:
         print(f"FAIL: cannot read {path}: {error}")
         return 1
     print(f"checking {path}")
-    problems = check(
-        metrics,
-        require_multicore=args.require_multicore,
-        require_compiled=args.require_compiled,
-    )
+    problems = check(metrics, require_multicore=args.require_multicore)
     if problems:
         print(f"\n{len(problems)} regression(s):")
         for problem in problems:

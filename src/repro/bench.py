@@ -11,17 +11,12 @@ that perf PRs optimize -- wall time of the parse stage over the standard
 * :func:`run_parse_bench` parses the corpus ``repeats`` times and keeps
   the best wall time (host noise on shared machines easily exceeds 30%,
   so a single-shot number is close to meaningless);
-* :func:`compose_soup` / :func:`run_scale_sweep` stack synthetic forms
-  into wild-web-scale token soups (~4x/16x the per-form token count) and
-  measure the kernel x compilation matrix per pool tier -- where both
-  the vector kernel's margin and the compiled core pay most;
 * :func:`profile_parse` runs the corpus under :mod:`cProfile` and
   renders the top cumulative-time entries, so future perf PRs start
   from data, not guesses.
 
 ``repro bench --profile`` (or ``REPRO_BENCH_PROFILE=1``) writes the
-profile table to ``BENCH_profile.txt`` next to ``BENCH_parse.json``;
-``repro bench --scale`` runs the pool-size sweep.
+profile table to ``BENCH_profile.txt`` next to ``BENCH_parse.json``.
 """
 
 from __future__ import annotations
@@ -31,20 +26,12 @@ import io
 import pstats
 import time
 from dataclasses import dataclass, field
-from types import ModuleType
 
 from repro.datasets.domains import DOMAINS
 from repro.datasets.generator import GeneratorProfile, SourceGenerator
 from repro.grammar.standard import build_standard_grammar
 from repro.html.parser import parse_html
-from repro.parser.parser import (
-    BestEffortParser,
-    ParserConfig,
-    load_interpreted_core,
-    use_core,
-)
-from repro.parser import core as parser_core
-from repro.parser.spatial_index import numpy_available
+from repro.parser.parser import BestEffortParser
 from repro.tokens.model import Token
 from repro.tokens.tokenizer import FormTokenizer
 
@@ -102,7 +89,6 @@ class BenchResult:
 
     forms: int
     average_size: float
-    kernel: str
     wall_seconds: float
     rounds: list[float] = field(default_factory=list)
     combos_examined: int = 0
@@ -112,8 +98,8 @@ class BenchResult:
         per_form = 1000.0 * self.wall_seconds / max(1, self.forms)
         rounds = ", ".join(f"{wall:.3f}" for wall in self.rounds)
         return (
-            f"parsed {self.forms} interfaces (avg {self.average_size:.1f} "
-            f"tokens) with the {self.kernel} kernel\n"
+            f"parsed {self.forms} interfaces "
+            f"(avg {self.average_size:.1f} tokens)\n"
             f"best wall time: {self.wall_seconds:.3f} s "
             f"({per_form:.1f} ms/interface) over {len(self.rounds)} "
             f"round(s): [{rounds}]\n"
@@ -124,7 +110,6 @@ class BenchResult:
 
 def run_parse_bench(
     token_sets: list[list[Token]],
-    kernel: str = "auto",
     repeats: int = 3,
 ) -> BenchResult:
     """Parse the corpus ``repeats`` times; keep the best wall time.
@@ -132,9 +117,7 @@ def run_parse_bench(
     The counters are identical across rounds (parsing is deterministic),
     so only the final round's are kept.
     """
-    parser = BestEffortParser(
-        build_standard_grammar(), ParserConfig(kernel=kernel)
-    )
+    parser = BestEffortParser(build_standard_grammar())
     rounds: list[float] = []
     combos = instances = 0
     for _ in range(max(1, repeats)):
@@ -153,7 +136,6 @@ def run_parse_bench(
     return BenchResult(
         forms=len(token_sets),
         average_size=average_size,
-        kernel=parser.kernel,
         wall_seconds=min(rounds),
         rounds=rounds,
         combos_examined=combos,
@@ -161,252 +143,12 @@ def run_parse_bench(
     )
 
 
-#: Pool-size tiers of the scaling sweep: (name, forms stacked per soup,
-#: soup cap).  ``small`` is the per-form baseline; ``x4``/``x16`` stack
-#: that many forms into one token soup, approximating wild-web pages
-#: whose pools are far larger than any single synthetic form.  The soup
-#: caps keep per-tier wall time comparable: parse cost grows
-#: quadratically with pool size, so a tier needs fewer soups, not more,
-#: to produce a stable number.
-SCALE_TIERS: tuple[tuple[str, int, int | None], ...] = (
-    ("small", 1, None),
-    ("x4", 4, 2),
-    ("x16", 16, 1),
-)
-
-#: Vertical gap between stacked forms in a soup -- enough that the
-#: spatial relations never associate tokens across form boundaries by
-#: accident, small enough that band queries still see one page.
-SOUP_GAP = 24.0
-
-
-def compose_soup(token_sets: list[list[Token]], gap: float = SOUP_GAP) -> list[Token]:
-    """Stack *token_sets* vertically into one wild-web-scale token soup.
-
-    Forms are laid out top to bottom with *gap* pixels between them and
-    token ids renumbered into one dense sequence -- exactly what a long
-    real-world page (or a multi-form portal) looks like to the parser.
-    Soups past the 4-form tier naturally exceed 64 tokens, so the
-    vector kernel's masked preference enforcement bows out and the
-    per-token winner index takes over, matching what actually happens
-    on large wild pages.
-    """
-    soup: list[Token] = []
-    offset = 0.0
-    next_id = 0
-    for tokens in token_sets:
-        if not tokens:
-            continue
-        top = min(token.bbox.top for token in tokens)
-        bottom = max(token.bbox.bottom for token in tokens)
-        dy = offset - top
-        for token in tokens:
-            soup.append(
-                Token(
-                    id=next_id,
-                    terminal=token.terminal,
-                    bbox=token.bbox.translate(0.0, dy),
-                    attrs=token.attrs,
-                )
-            )
-            next_id += 1
-        offset += (bottom - top) + gap
-    return soup
-
-
-def scale_tier_sets(
-    token_sets: list[list[Token]],
-    tiers: tuple[tuple[str, int, int | None], ...] = SCALE_TIERS,
-) -> dict[str, list[list[Token]]]:
-    """Group the corpus into per-tier workloads of composed soups.
-
-    Each tier consumes the *same* underlying forms (consecutive groups
-    of ``factor``, capped at ``max_soups`` groups), so tiers differ
-    only in how the tokens are pooled, not in what they contain.
-    """
-    workloads: dict[str, list[list[Token]]] = {}
-    for name, factor, max_soups in tiers:
-        if factor <= 1:
-            workloads[name] = list(
-                token_sets if max_soups is None else token_sets[:max_soups]
-            )
-            continue
-        soups: list[list[Token]] = []
-        for start in range(0, len(token_sets) - factor + 1, factor):
-            if max_soups is not None and len(soups) >= max_soups:
-                break
-            soups.append(compose_soup(token_sets[start:start + factor]))
-        workloads[name] = soups
-    return workloads
-
-
-def core_variants() -> dict[str, ModuleType]:
-    """The fix-point core builds importable in this process.
-
-    ``{"interpreted": module}`` on a pure-Python install; adds
-    ``"compiled"`` when the mypyc extension is what
-    :mod:`repro.parser.core` resolved to (the interpreted twin is then
-    loaded from source alongside it, so both can be measured in one
-    process).
-    """
-    if parser_core.is_compiled():
-        return {
-            "compiled": parser_core,
-            "interpreted": load_interpreted_core(),
-        }
-    return {"interpreted": parser_core}
-
-
-@dataclass
-class ScaleCell:
-    """One (tier, kernel, core) measurement of the scaling sweep."""
-
-    tier: str
-    kernel: str
-    core: str
-    wall_seconds: float
-    rounds: list[float] = field(default_factory=list)
-    combos_examined: int = 0
-    instances_created: int = 0
-
-
-@dataclass
-class ScaleSweepResult:
-    """The kernel x compilation matrix over the pool-size tiers."""
-
-    cells: list[ScaleCell]
-    #: Per-tier workload shape: ``{tier: (soups, avg_tokens)}``.
-    tiers: dict[str, tuple[int, float]]
-    compiled_available: bool
-
-    def cell(self, tier: str, kernel: str, core: str) -> ScaleCell | None:
-        for cell in self.cells:
-            if (cell.tier, cell.kernel, cell.core) == (tier, kernel, core):
-                return cell
-        return None
-
-    def compiled_speedup(self, tier: str, kernel: str) -> float | None:
-        """Best-of-N interpreted/compiled wall ratio for one cell pair."""
-        compiled = self.cell(tier, kernel, "compiled")
-        interpreted = self.cell(tier, kernel, "interpreted")
-        if compiled is None or interpreted is None:
-            return None
-        return interpreted.wall_seconds / max(compiled.wall_seconds, 1e-9)
-
-    def describe(self) -> str:
-        lines = ["pool-size scaling sweep (best-of-N wall seconds):"]
-        for tier, (soups, avg_tokens) in self.tiers.items():
-            lines.append(
-                f"  {tier}: {soups} soup(s), avg {avg_tokens:.1f} tokens"
-            )
-            for cell in self.cells:
-                if cell.tier != tier:
-                    continue
-                lines.append(
-                    f"    {cell.kernel}/{cell.core}: "
-                    f"{cell.wall_seconds:.3f} s "
-                    f"({cell.combos_examined} combos)"
-                )
-            if self.compiled_available:
-                for kernel in ("vector", "scalar"):
-                    speedup = self.compiled_speedup(tier, kernel)
-                    if speedup is not None:
-                        lines.append(
-                            f"    {kernel} compiled speedup: {speedup:.2f}x"
-                        )
-        if not self.compiled_available:
-            lines.append(
-                "  compiled core not importable here -- interpreted "
-                "cells only (build with REPRO_COMPILE=1 for the "
-                "compiled legs)"
-            )
-        return "\n".join(lines)
-
-
-def run_scale_sweep(
-    token_sets: list[list[Token]],
-    repeats: int = 3,
-    tiers: tuple[tuple[str, int, int | None], ...] = SCALE_TIERS,
-) -> ScaleSweepResult:
-    """Measure the kernel x compilation matrix per pool-size tier.
-
-    Every cell parses its tier's identical workload ``repeats`` times
-    and keeps the best wall time (the PR 6 methodology).  Counters are
-    cross-checked across cells of a tier: kernels and core builds must
-    agree on ``combos_examined``/``instances_created`` -- the sweep
-    refuses to report a "speedup" between cells that did different work.
-    """
-    workloads = scale_tier_sets(token_sets, tiers)
-    kernels = ["vector", "scalar"] if numpy_available() else ["scalar"]
-    variants = core_variants()
-    grammar = build_standard_grammar()
-    cells: list[ScaleCell] = []
-    tier_shapes: dict[str, tuple[int, float]] = {}
-    for tier, soups in workloads.items():
-        avg_tokens = (
-            sum(len(soup) for soup in soups) / len(soups) if soups else 0.0
-        )
-        tier_shapes[tier] = (len(soups), avg_tokens)
-        for kernel in kernels:
-            for core_name, module in variants.items():
-                previous = use_core(module)
-                try:
-                    parser = BestEffortParser(
-                        grammar, ParserConfig(kernel=kernel)
-                    )
-                finally:
-                    use_core(previous)
-                rounds: list[float] = []
-                combos = instances = 0
-                for _ in range(max(1, repeats)):
-                    combos = instances = 0
-                    started = time.perf_counter()
-                    for soup in soups:
-                        stats = parser.parse(soup).stats
-                        combos += stats.combos_examined
-                        instances += stats.instances_created
-                    rounds.append(time.perf_counter() - started)
-                cells.append(
-                    ScaleCell(
-                        tier=tier,
-                        kernel=kernel,
-                        core=core_name,
-                        wall_seconds=min(rounds),
-                        rounds=rounds,
-                        combos_examined=combos,
-                        instances_created=instances,
-                    )
-                )
-        tier_cells = [cell for cell in cells if cell.tier == tier]
-        reference = tier_cells[0]
-        for cell in tier_cells[1:]:
-            if (
-                cell.combos_examined != reference.combos_examined
-                or cell.instances_created != reference.instances_created
-            ):
-                raise AssertionError(
-                    f"scale sweep cells diverged on tier {tier!r}: "
-                    f"{cell.kernel}/{cell.core} examined "
-                    f"{cell.combos_examined} combos vs "
-                    f"{reference.kernel}/{reference.core}'s "
-                    f"{reference.combos_examined}"
-                )
-    return ScaleSweepResult(
-        cells=cells,
-        tiers=tier_shapes,
-        compiled_available="compiled" in variants,
-    )
-
-
 def profile_parse(
     token_sets: list[list[Token]],
-    kernel: str = "auto",
     top: int = PROFILE_TOP,
 ) -> str:
     """Render the parse stage's cProfile top-``top`` cumulative table."""
-    parser = BestEffortParser(
-        build_standard_grammar(), ParserConfig(kernel=kernel)
-    )
+    parser = BestEffortParser(build_standard_grammar())
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -419,6 +161,6 @@ def profile_parse(
     stats.sort_stats("cumulative").print_stats(top)
     header = (
         f"# repro bench profile: {len(token_sets)} interfaces, "
-        f"{parser.kernel} kernel, top {top} by cumulative time\n"
+        f"top {top} by cumulative time\n"
     )
     return header + buffer.getvalue()

@@ -18,10 +18,9 @@ Commands:
   runs the degradation ladder; ``--trace`` prints the stage timing
   summary).
 * ``bench``         -- time the parse stage over the standard synthetic
-  corpus (``--forms N``, ``--kernel auto|vector|scalar``, ``--repeats N``
-  keeps the best of N rounds; ``--profile`` or ``REPRO_BENCH_PROFILE=1``
-  additionally writes a cProfile top-20 cumulative table to
-  ``BENCH_profile.txt``/``--profile-out``).
+  corpus (``--forms N``, ``--repeats N`` keeps the best of N rounds;
+  ``--profile`` or ``REPRO_BENCH_PROFILE=1`` additionally writes a
+  cProfile top-20 cumulative table to ``BENCH_profile.txt``/``--profile-out``).
 * ``grammar``       -- print the derived global grammar.
 * ``lint``          -- statically analyze the built-in grammars
   (``--grammar standard|example|navmenu|all``, default ``all``) and print
@@ -340,23 +339,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         generate_token_sets,
         profile_parse,
         run_parse_bench,
-        run_scale_sweep,
     )
 
     token_sets = generate_token_sets(args.forms)
-    if args.scale:
-        sweep = run_scale_sweep(token_sets, repeats=args.repeats)
-        print(sweep.describe())
-        return 0
-    result = run_parse_bench(
-        token_sets, kernel=args.kernel, repeats=args.repeats
-    )
+    result = run_parse_bench(token_sets, repeats=args.repeats)
     print(result.describe())
     profile_requested = args.profile or os.environ.get(
         PROFILE_ENV, ""
     ) not in ("", "0")
     if profile_requested:
-        report = profile_parse(token_sets, kernel=args.kernel)
+        report = profile_parse(token_sets)
         try:
             with open(args.profile_out, "w", encoding="utf-8") as fh:
                 fh.write(report)
@@ -526,16 +518,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--forms", type=int, default=120,
                        help="corpus size (default 120, the paper's batch)")
-    bench.add_argument("--kernel", default="auto",
-                       choices=["auto", "vector", "scalar"],
-                       help="spatial kernel to benchmark (default auto)")
     bench.add_argument("--repeats", type=int, default=3,
                        help="rounds to run; the best wall time is "
                             "reported (default 3)")
-    bench.add_argument("--scale", action="store_true",
-                       help="run the pool-size scaling sweep instead: "
-                            "small/x4/x16 token soups through the "
-                            "kernel x compilation matrix")
     bench.add_argument("--profile", action="store_true",
                        help="also run the corpus under cProfile and write "
                             "the top-20 cumulative table "

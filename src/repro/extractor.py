@@ -156,19 +156,19 @@ class FormExtractor:
         """Pay every first-call cost now instead of on the first request.
 
         Parses and merges one tiny synthetic form through the extractor's
-        own parser: the cached grammar and schedule, the spatial kernel
-        (including its lazy numpy import), the parser core's first-call
-        allocations, and the merger are all exercised once.  The result
-        is discarded and neither the extraction cache nor the metrics
-        registry is touched, so a warmed extractor is observably
-        identical to a cold one -- except that the first real request no
-        longer pays import/alloc latency (``repro serve`` calls this in
-        every worker's initializer).
+        own parser: the cached grammar and schedule, the geometry table's
+        numpy paths, the parser core's first-call allocations, and the
+        merger are all exercised once.  The result is discarded and
+        neither the extraction cache nor the metrics registry is
+        touched, so a warmed extractor is observably identical to a cold
+        one -- except that the first real request no longer pays
+        import/alloc latency (``repro serve`` calls this in every
+        worker's initializer).
         """
         tokens: list[Token] = []
         # Four label+textbox rows plus a submit row: big enough that the
-        # instance pools cross MIN_INDEXED_POOL, so the band/geometry
-        # index paths (and their numpy allocations) run too.
+        # instance pools cross MIN_INDEXED_POOL, so the geometry-table
+        # paths (and their numpy allocations) run too.
         for row in range(4):
             top = 24.0 * row
             tokens.append(Token(
@@ -279,27 +279,7 @@ class FormExtractor:
                 span.count("hit", 1 if entry is not None else 0)
             if entry is not None:
                 return self._replay_cached(entry, tokens, trace)
-        parse = self.parser.parse(tokens, guard=guard)
-        stats = parse.stats
-        construct = trace.add_span(
-            "parse.construct", stats.construction_seconds, counters=stats.counters()
-        )
-        construct.tags["kernel"] = stats.kernel
-        construct.tags["compiled"] = stats.compiled
-        self.metrics.inc(f"parse.kernel.{stats.kernel}")
-        self.metrics.inc(
-            f"parse.compiled.{'true' if stats.compiled else 'false'}"
-        )
-        if stats.truncated:
-            construct.tags["truncated"] = True
-        trace.add_span(
-            "parse.maximize",
-            stats.maximization_seconds,
-            counters={"trees": len(parse.trees)},
-        )
-        with trace.span("merge") as span:
-            report = self.merger.merge(parse, guard=guard)
-            span.counters.update(report.counters())
+        parse, report = self._parse_and_merge(tokens, trace, guard)
         result = ExtractionResult(
             model=report.model,
             parse=parse,
@@ -316,10 +296,35 @@ class FormExtractor:
             conditions=len(report.model.conditions),
             conflicts=len(report.conflict_tokens),
             missing=len(report.missing_tokens),
-            truncated=stats.truncated,
+            truncated=parse.stats.truncated,
             seconds=round(trace.total_seconds, 6),
         )
         return result
+
+    def _parse_and_merge(
+        self,
+        tokens: list[Token],
+        trace: Trace,
+        guard: ResourceGuard | None,
+    ) -> tuple[ParseResult, MergeReport]:
+        """Parse *tokens* and merge the trees, recording the
+        ``parse.construct``, ``parse.maximize`` and ``merge`` spans."""
+        parse = self.parser.parse(tokens, guard=guard)
+        stats = parse.stats
+        construct = trace.add_span(
+            "parse.construct", stats.construction_seconds, counters=stats.counters()
+        )
+        if stats.truncated:
+            construct.tags["truncated"] = True
+        trace.add_span(
+            "parse.maximize",
+            stats.maximization_seconds,
+            counters={"trees": len(parse.trees)},
+        )
+        with trace.span("merge") as span:
+            report = self.merger.merge(parse, guard=guard)
+            span.counters.update(report.counters())
+        return parse, report
 
     def _replay_cached(
         self, entry: CacheEntry, tokens: list[Token], trace: Trace
@@ -445,29 +450,7 @@ class FormExtractor:
     ) -> ExtractionResult:
         """Parse/merge rungs of the ladder (shared with token-level entry)."""
         try:
-            parse = self.parser.parse(tokens, guard=guard)
-            stats = parse.stats
-            construct = trace.add_span(
-                "parse.construct",
-                stats.construction_seconds,
-                counters=stats.counters(),
-            )
-            construct.tags["kernel"] = stats.kernel
-            construct.tags["compiled"] = stats.compiled
-            self.metrics.inc(f"parse.kernel.{stats.kernel}")
-            self.metrics.inc(
-                f"parse.compiled.{'true' if stats.compiled else 'false'}"
-            )
-            if stats.truncated:
-                construct.tags["truncated"] = True
-            trace.add_span(
-                "parse.maximize",
-                stats.maximization_seconds,
-                counters={"trees": len(parse.trees)},
-            )
-            with trace.span("merge") as span:
-                report = self.merger.merge(parse, guard=guard)
-                span.counters.update(report.counters())
+            parse, report = self._parse_and_merge(tokens, trace, guard)
         except Exception as exc:
             trace.outcome = "ok"
             return self._ladder_fallback(

@@ -16,16 +16,12 @@ incomplete, the parser cannot reject any input.  Instead it:
 "brute-force" baseline of Section 4.2.1 used in the ablation benchmarks.
 """
 
-from repro.parser.core import is_compiled
 from repro.parser.parser import (
     BestEffortParser,
     ExhaustiveParser,
     ParseResult,
     ParserConfig,
     ParseStats,
-    active_core,
-    load_interpreted_core,
-    use_core,
 )
 from repro.parser.maximization import maximal_roots
 from repro.parser.schedule import (
@@ -36,10 +32,8 @@ from repro.parser.schedule import (
     build_schedule,
     build_schedule_graph,
 )
-from repro.parser.spatial_index import BandIndex
 
 __all__ = [
-    "BandIndex",
     "BestEffortParser",
     "ExhaustiveParser",
     "ParseResult",
@@ -49,11 +43,7 @@ __all__ = [
     "Schedule",
     "ScheduleError",
     "ScheduleGraph",
-    "active_core",
     "build_schedule",
     "build_schedule_graph",
-    "is_compiled",
-    "load_interpreted_core",
     "maximal_roots",
-    "use_core",
 ]

@@ -1,13 +1,8 @@
 """The fix-point inner loop of the best-effort parser.
 
-This module is the parser's hot core, extracted from
-:mod:`repro.parser.parser` so it can be compiled ahead-of-time with mypyc
-(the ``repro[compiled]`` extra / ``REPRO_COMPILE=1`` build hook in
-``setup.py``).  The interpreted module is the always-available fallback --
-exactly like the numpy-optional spatial kernel -- and both builds are
-byte-identical in behaviour: trees, models, warnings, and every counter
-match, which the 6-way equivalence net
-(naive/scalar/vector x interpreted/compiled) pins.
+This module is the parser's hot core, kept apart from
+:mod:`repro.parser.parser` as plain strict-typed Python: no dynamic
+attributes, slotted hot classes, and no module-level mutable state.
 
 Everything here operates on *interned* instances: each parse owns an
 :class:`~repro.grammar.instance.InternTable` assigning dense ids
@@ -26,12 +21,10 @@ arrays and bitmasks:
   enforcement pass (iid order equals registration order equals uid
   order, so every ordering-dependent decision is unchanged).
 
-Hot counters accumulate in :class:`CoreCounters` (a slotted native class
-under mypyc) and are folded into ``ParseStats`` once per parse by the
-orchestrating :class:`~repro.parser.parser.BestEffortParser`, which also
-resolves kernels, schedules symbols, and runs maximization -- the
-orchestration layer stays interpreted and swappable (see
-``repro.parser.parser.use_core``).
+Hot counters accumulate in :class:`CoreCounters` and are folded into
+``ParseStats`` once per parse by the orchestrating
+:class:`~repro.parser.parser.BestEffortParser`, which also schedules
+symbols and runs maximization.
 """
 
 from __future__ import annotations
@@ -40,14 +33,14 @@ import itertools
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Iterator
 
+import numpy
+
 from repro.grammar.instance import Instance, InternTable
 from repro.grammar.preference import Preference
 from repro.grammar.production import Production
 from repro.parser.spatial_index import (
     MIN_INDEXED_POOL,
-    BandIndex,
     GeometryTable,
-    _load_numpy,
     h_allows,
     v_allows,
 )
@@ -65,24 +58,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _MASKED_MATRIX_CELLS = 1 << 21
 
 
-def is_compiled() -> bool:
-    """True when this module runs as a mypyc-compiled extension.
-
-    The stamp behind ``ParseStats.compiled`` and the ``parse.compiled``
-    trace tag -- benches and bug reports are never ambiguous about which
-    binary ran.  A mypyc build replaces the module with a C extension
-    whose ``__file__`` no longer points at the ``.py`` source.
-    """
-    return not __file__.endswith(".py")
-
-
 class CoreCounters:
     """Hot-path counters for one parse.
 
     The integer twin of the public ``ParseStats``: the inner loop bumps
-    these (native attribute stores under mypyc), and the orchestrator
-    folds them into ``ParseStats`` once per parse.  Field semantics match
-    ``ParseStats`` exactly.
+    these, and the orchestrator folds them into ``ParseStats`` once per
+    parse.  Field semantics match ``ParseStats`` exactly.
     """
 
     __slots__ = (
@@ -130,24 +111,22 @@ class SpatialMemo:
     grammar's lifetime):
 
     * ``pairs`` -- ``(id(check), anchor_iid, candidate_iid) -> bool``
-      verdicts of individual axis-envelope predicates;
-    * ``bands`` -- ``(id(check), anchor_iid) -> list`` results of a
-      :class:`BandIndex` query for a given anchor (the indexed pool is
-      frozen for the whole fix-point, so the query result is stable);
+      verdicts of individual axis-envelope predicates (pools scanned
+      without a table);
     * ``selections`` -- ``(id(checks), *anchor_iids) -> list`` full
       :meth:`GeometryTable.select` results for one position's check tuple
-      against one anchor binding (vector kernel only).
+      against one anchor binding (the indexed pool is frozen for the
+      whole fix-point, so the selection is stable).
 
     Scoped to one symbol's fix-point: component pools are frozen for its
     duration, and discarding the memo afterwards keeps ``id()``-based keys
     safe from address reuse across symbols.
     """
 
-    __slots__ = ("pairs", "bands", "selections")
+    __slots__ = ("pairs", "selections")
 
     def __init__(self) -> None:
         self.pairs: dict[tuple[int, int, int], bool] = {}
-        self.bands: dict[tuple[int, int], list[Instance]] = {}
         self.selections: dict[tuple[int, ...], list[Instance]] = {}
 
 
@@ -194,7 +173,7 @@ class ParseCore:
         self.winner_index: dict[str, dict[int, Bucket]] = {}
         #: When True every preference is enforced through vectorized
         #: coverage-mask comparisons and no token index is maintained
-        #: (vector kernel with machine-word-sized masks only).
+        #: (machine-word-sized masks only: every token id below 64).
         self.masked_enforcement = False
         #: Per-preference enforcement watermark: the highest interned id
         #: registered when the preference was last enforced.  Winner/loser
@@ -288,7 +267,6 @@ def instantiate_symbol(
     cap: SymbolBudget,
     counters: CoreCounters,
     tick: "GuardTick | None",
-    vector: bool,
     memoize: bool,
 ) -> int:
     """Run one symbol's semi-naive fix-point; return #created.
@@ -319,7 +297,6 @@ def instantiate_symbol(
                     ]
                 else:
                     fixed_pools[component] = pool
-    indexes: dict[str, BandIndex] = {}
     tables: dict[str, GeometryTable] = {}
     memo = SpatialMemo() if memoize else None
     recursive = [p for p in productions if symbol in p.components]
@@ -353,8 +330,8 @@ def instantiate_symbol(
                     break
                 new_instances.extend(
                     _apply_seminaive(
-                        production, pools, fixed_pools, indexes, tables,
-                        memo, core, cap, counters, remaining, tick, vector,
+                        production, pools, fixed_pools, tables, memo, core,
+                        cap, counters, remaining, tick,
                     )
                 )
                 if (
@@ -430,7 +407,6 @@ def _apply_seminaive(
     production: Production,
     pools: list[list[Instance]],
     fixed_pools: dict[str, list[Instance]],
-    indexes: dict[str, BandIndex],
     tables: dict[str, GeometryTable],
     memo: SpatialMemo | None,
     core: ParseCore,
@@ -438,7 +414,6 @@ def _apply_seminaive(
     counters: CoreCounters,
     budget: int,
     tick: "GuardTick | None",
-    vector: bool,
 ) -> list[Instance]:
     """Apply one production over one pool plan, creating at most
     *budget* new instances."""
@@ -458,8 +433,7 @@ def _apply_seminaive(
     examined = 0
     try:
         for combo in _combos(
-            production, pools, fixed_pools, indexes, tables, memo,
-            counters, vector,
+            production, pools, fixed_pools, tables, memo, counters
         ):
             if budget_left <= 0 or cap_left <= 0 or core_left <= 0:
                 counters.truncated = True
@@ -487,22 +461,19 @@ def _combos(
     production: Production,
     pools: list[list[Instance]],
     fixed_pools: dict[str, list[Instance]],
-    indexes: dict[str, BandIndex],
     tables: dict[str, GeometryTable],
     memo: SpatialMemo | None,
     counters: CoreCounters,
-    vector: bool,
 ) -> Iterator[tuple[Instance, ...]]:
     """Enumerate candidate combinations, pre-filtered by the
     production's declarative spatial bounds.
 
     Candidates at every position are visited in pool (intern) order,
-    whether produced by a plain filtered scan, a :class:`BandIndex`
-    query, or a vectorized :meth:`GeometryTable.select`, so the
-    combination order matches the naive cartesian product with
-    bound-violating combinations removed.  With *memo* set, predicate
-    verdicts, band queries, and vector selections already evaluated this
-    fix-point are reused instead of recomputed
+    whether produced by a plain filtered scan or a vectorized
+    :meth:`GeometryTable.select`, so the combination order matches the
+    naive cartesian product with bound-violating combinations removed.
+    With *memo* set, predicate verdicts and table selections already
+    evaluated this fix-point are reused instead of recomputed
     (``CoreCounters.spatial_memo_hits``); the selected candidates are
     identical either way.
     """
@@ -518,7 +489,7 @@ def _combos(
         return
     combo: list[Instance] = [None] * n  # type: ignore[list-item]
     # Memoization only pays off for productions with >= 3 components:
-    # a pair verdict (or a band query for the same anchor) can only
+    # a pair verdict (or a selection for the same anchors) can only
     # recur when a *third* position varies between two visits; with
     # two components each anchor is visited exactly once per plan, so
     # both tables would be pure dict overhead (measured as a ~10%
@@ -531,18 +502,11 @@ def _combos(
         checks = bounds_by_target[position]
         if not checks:
             return pool
-        # Indexed path: the pool is the frozen full pool of a fixed
-        # component, large enough that indexing beats a linear scan.
         component = components[position]
-        fixed = fixed_pools.get(component)
-        indexable = (
-            fixed is not None
-            and pool is fixed
-            and len(pool) >= MIN_INDEXED_POOL
-        )
-        if vector and indexable:
-            # Columnar path: evaluate the whole check conjunction over
-            # the pool as vectorized interval masks.
+        if pool is fixed_pools.get(component) and len(pool) >= MIN_INDEXED_POOL:
+            # Columnar path: the pool is the frozen full pool of a fixed
+            # component, large enough that evaluating the whole check
+            # conjunction as vectorized interval masks beats a scan.
             table = tables.get(component)
             if table is None:
                 table = tables[component] = GeometryTable(pool)
@@ -558,49 +522,11 @@ def _combos(
                     counters.spatial_memo_hits += 1
             else:
                 selected = table.select(checks, combo)
-            counters.combos_prefiltered += len(pool) - len(selected)
-            return selected
-        primary = None
-        if indexable:
-            for check in checks:
-                if check[2] is not None:  # needs a vertical bound
-                    primary = check
-                    break
-        if primary is not None:
-            index = indexes.get(component)
-            if index is None:
-                assert fixed is not None  # implied by ``indexable``
-                index = BandIndex(fixed)
-                indexes[component] = index
-            anchor, h_spec, v_spec = primary
-            anchor_inst = combo[anchor]
-            if pair_memo is not None:
-                band_key = (id(primary), anchor_inst.iid)
-                banded = pair_memo.bands.get(band_key)
-                if banded is None:
-                    banded = index.near(anchor_inst.bbox, h_spec, v_spec)
-                    pair_memo.bands[band_key] = banded
-                else:
-                    counters.spatial_memo_hits += 1
-            else:
-                banded = index.near(anchor_inst.bbox, h_spec, v_spec)
-            if len(checks) > 1:
-                # Build a fresh list: ``banded`` may be a memoized
-                # object shared with later queries.
-                selected = [
-                    cand for cand in banded
-                    if passes(
-                        cand, checks, combo, primary, pair_memo, counters
-                    )
-                ]
-            else:
-                selected = banded
-            counters.combos_prefiltered += len(pool) - len(selected)
-            return selected
-        selected = [
-            cand for cand in pool
-            if passes(cand, checks, combo, None, pair_memo, counters)
-        ]
+        else:
+            selected = [
+                cand for cand in pool
+                if passes(cand, checks, combo, pair_memo, counters)
+            ]
         counters.combos_prefiltered += len(pool) - len(selected)
         return selected
 
@@ -617,18 +543,15 @@ def _combos(
         # the recursive expansion into two plain loops.  Position 0
         # never carries checks (bounds require ``i < j``), and every
         # check at position 1 anchors on position 0 -- which is what
-        # lets the vector kernel answer the whole plan with one
-        # batched ``select_rows`` matrix instead of one ``select``
-        # call per anchor.
+        # lets the table answer the whole plan with one batched
+        # ``select_rows`` matrix instead of one ``select`` call per
+        # anchor.
         pool0, pool1 = pools
         checks1 = bounds_by_target[1]
         component1 = components[1]
-        fixed1 = fixed_pools.get(component1)
         if (
-            vector
-            and checks1
-            and fixed1 is not None
-            and pool1 is fixed1
+            checks1
+            and pool1 is fixed_pools.get(component1)
             and len(pool1) >= MIN_INDEXED_POOL
         ):
             table = tables.get(component1)
@@ -637,7 +560,7 @@ def _combos(
             selections = table.select_rows(checks1, pool0)
             base = len(pool1)
             # Per-anchor accounting stays lazy (counted when the
-            # enumeration reaches the anchor), matching the scalar
+            # enumeration reaches the anchor), matching the per-anchor
             # path under early budget breaks.
             for row, anchor in enumerate(pool0):
                 selected = selections[row]
@@ -658,15 +581,12 @@ def passes(
     candidate: Instance,
     checks: "tuple[TargetCheck, ...]",
     combo: list[Instance],
-    skip: "TargetCheck | None",
     memo: SpatialMemo | None,
     counters: CoreCounters,
 ) -> bool:
     """Does *candidate* satisfy every axis-envelope check of *checks*?"""
     box = candidate.bbox
     for check in checks:
-        if check is skip:
-            continue
         anchor, h_spec, v_spec = check
         anchor_inst = combo[anchor]
         if memo is not None:
@@ -778,8 +698,8 @@ def _enforce_masked(
 ) -> None:
     """Vectorized preference enforcement over coverage bitmasks.
 
-    With the vector kernel no per-token winner index exists at all;
-    instead the loser x winner candidacy relation is evaluated as one
+    When every token id fits a ``uint64`` bit no per-token winner index
+    exists at all; instead the loser x winner candidacy relation is evaluated as one
     numpy boolean matrix over the ``uint64`` coverage masks -- strict
     superset for ``subsumes`` preferences (the condition itself),
     plain intersection for everything else (the shared-token join the
@@ -787,7 +707,7 @@ def _enforce_masked(
     some candidate beats the loser, not on which one is found first,
     so scanning candidates in intern order instead of bucket order
     leaves the kill sequence -- and every counter -- identical to the
-    scalar path's.
+    winner-index path's.
 
     Rows are only decoded for losers still alive when the scan
     reaches them: each kill rolls back whole derivation chains, so
@@ -798,7 +718,6 @@ def _enforce_masked(
     pool) instead compute each alive loser's hit row on demand,
     keeping peak memory at O(winners) regardless of pool size.
     """
-    numpy = _load_numpy()
     winner_masks = numpy.fromiter(
         (candidate.coverage_mask for candidate in winner_pool),
         dtype=numpy.uint64,

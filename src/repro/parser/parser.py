@@ -29,7 +29,8 @@ Two interchangeable evaluation modes produce identical parse forests:
   combinations containing at least one instance created in round *k - 1*
   (the frontier), so no combination is ever examined twice and no dedup
   set is needed.  Productions additionally declare conservative spatial
-  ``bounds`` which, together with a per-symbol band index, pre-filter
+  ``bounds`` which, evaluated as vectorized masks over a per-symbol
+  :class:`~repro.parser.spatial_index.GeometryTable`, pre-filter
   candidate pools down to geometrically plausible neighbours before
   :meth:`Production.try_apply` runs.
 * ``"naive"`` -- the original loop: every round re-enumerates the full
@@ -43,41 +44,36 @@ in at most one component position (all practical 2P grammars, including
 the standard one), the two modes create instances in the *same order*, so
 parse forests, statistics invariants, and merger output are identical.
 
-The compiled core
------------------
+The core
+--------
 
 The hot inner loop -- instance interning, frontier-delta joins,
 preference enforcement -- lives in :mod:`repro.parser.core`, a strict-mypy
-module compilable ahead-of-time with mypyc (the ``repro[compiled]`` extra;
-see ``setup.py``).  This module is the orchestration layer: it resolves
-kernels, walks the schedule, folds the core's counters into
-:class:`ParseStats`, and stamps :attr:`ParseStats.compiled` with which
-build actually ran.  :func:`use_core` swaps the core implementation
-process-wide (the equivalence suite runs compiled and interpreted cores
-side by side in one process via :func:`load_interpreted_core`); a parser
-binds its core at construction.
+module.  This module is the orchestration layer: it walks the schedule
+and folds the core's counters into :class:`ParseStats`.
 """
 
 from __future__ import annotations
 
 import gc
-import importlib.util
 import itertools
-import os
-import sys
 import time
-import types
 from dataclasses import dataclass, field, replace
 
 from repro.grammar.grammar import TwoPGrammar
 from repro.grammar.instance import Instance
 from repro.grammar.preference import Preference, subsumes
 from repro.grammar.production import Production
-from repro.parser import core as _core_module
-from repro.parser.core import CoreCounters, ParseCore, SymbolBudget
+from repro.parser.core import (
+    CoreCounters,
+    ParseCore,
+    SymbolBudget,
+    enforce,
+    instantiate_symbol,
+    maybe_compact,
+)
 from repro.parser.maximization import covered_tokens, maximal_roots
 from repro.parser.schedule import Schedule
-from repro.parser.spatial_index import KERNEL_MODES, resolve_kernel
 from repro.tokens.model import Token
 from typing import TYPE_CHECKING
 
@@ -86,61 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Recognised fix-point evaluation strategies.
 EVALUATION_MODES = ("seminaive", "naive")
-
-#: The core implementation new parsers bind (see :func:`use_core`).
-_active_core: types.ModuleType = _core_module
-
-#: Cache for :func:`load_interpreted_core`.
-_interpreted_core: types.ModuleType | None = None
-
-
-def active_core() -> types.ModuleType:
-    """The :mod:`repro.parser.core` implementation new parsers bind."""
-    return _active_core
-
-
-def use_core(module: types.ModuleType | None) -> types.ModuleType:
-    """Swap the core implementation bound by *subsequently constructed*
-    parsers; return the previous one.
-
-    ``None`` restores the default (the importable
-    :mod:`repro.parser.core`, compiled when the wheel was built with
-    mypyc).  Existing parsers keep the core they were constructed with --
-    the equivalence suite relies on that to run compiled and interpreted
-    parsers side by side in one process.
-    """
-    global _active_core
-    previous = _active_core
-    _active_core = module if module is not None else _core_module
-    return previous
-
-
-def load_interpreted_core() -> types.ModuleType:
-    """The always-interpreted twin of :mod:`repro.parser.core`.
-
-    On an interpreted install this is :mod:`repro.parser.core` itself.
-    On a compiled install (mypyc leaves ``core.py`` next to the extension
-    that shadows it) the source module is loaded under the distinct name
-    ``repro.parser._interpreted_core``, so compiled and interpreted cores
-    coexist in one process for differential testing.
-    """
-    global _interpreted_core
-    if not _core_module.is_compiled():
-        return _core_module
-    if _interpreted_core is not None:
-        return _interpreted_core
-    source = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "core.py"
-    )
-    spec = importlib.util.spec_from_file_location(
-        "repro.parser._interpreted_core", source
-    )
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["repro.parser._interpreted_core"] = module
-    spec.loader.exec_module(module)
-    _interpreted_core = module
-    return module
 
 
 @dataclass
@@ -164,28 +105,16 @@ class ParserConfig:
             scheduled after it.
         evaluation: Fix-point strategy, ``"seminaive"`` (default) or
             ``"naive"`` (see module docstring).
-        kernel: Spatial-kernel request: ``"auto"`` (default -- vectorized
-            when numpy is importable, scalar otherwise), ``"vector"``
-            (columnar numpy :class:`~repro.parser.spatial_index.GeometryTable`
-            path; raises at parser construction when numpy is absent), or
-            ``"scalar"`` (pure-Python
-            :class:`~repro.parser.spatial_index.BandIndex` path).  Both
-            kernels select identical candidates in identical order, so
-            models, warnings, and all ``combos_*`` counters are
-            byte-identical across kernels; only
-            :attr:`ParseStats.spatial_memo_hits` may differ (the two paths
-            memoize different units of work).  The kernel only affects
-            semi-naive evaluation; naive mode always runs scalar.
         memoize_spatial: Memoize per-production spatial-constraint
             evaluations during a symbol's fix-point (semi-naive mode
             only).  The same ``(check, anchor, candidate)`` predicate and
-            the same band-index query recur across fix-point rounds and
-            pool plans; memo keys intern the instances by dense id so each
-            predicate is evaluated at most once per fix-point.  Pure
-            memoization: verdicts are deterministic, so candidate lists,
-            combination order, and all ``combos_*`` counters are identical
-            with it on or off -- hits are reported separately in
-            :attr:`ParseStats.spatial_memo_hits`.
+            the same geometry-table selection recur across fix-point
+            rounds and pool plans; memo keys intern the instances by
+            dense id so each predicate is evaluated at most once per
+            fix-point.  Pure memoization: verdicts are deterministic, so
+            candidate lists, combination order, and all ``combos_*``
+            counters are identical with it on or off -- hits are reported
+            separately in :attr:`ParseStats.spatial_memo_hits`.
     """
 
     enable_preferences: bool = True
@@ -193,7 +122,6 @@ class ParserConfig:
     max_combos_per_instance: int = 60
     evaluation: str = "seminaive"
     memoize_spatial: bool = True
-    kernel: str = "auto"
     #: Pause the cyclic garbage collector for the duration of each
     #: ``parse()`` call.  A parse churns tens of thousands of short-lived
     #: instances whose parent backrefs form reference cycles, so the
@@ -210,11 +138,6 @@ class ParserConfig:
                 f"unknown evaluation mode {self.evaluation!r}; "
                 f"expected one of {EVALUATION_MODES}"
             )
-        if self.kernel not in KERNEL_MODES:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {KERNEL_MODES}"
-            )
 
     @property
     def max_combos(self) -> int:
@@ -227,14 +150,6 @@ class ParseStats:
     """Counters describing one parse (used by the ablation experiments)."""
 
     tokens: int = 0
-    #: Concrete spatial kernel this parse ran (``"vector"`` or
-    #: ``"scalar"``); naive-mode parses always record ``"scalar"``.
-    kernel: str = "scalar"
-    #: True when the fix-point core ran as a mypyc-compiled extension
-    #: (the ``repro[compiled]`` build), False on the interpreted
-    #: fallback.  A stamp like :attr:`kernel`, not a counter: benches and
-    #: bug reports are never ambiguous about which binary produced them.
-    compiled: bool = False
     instances_created: int = 0
     instances_pruned: int = 0
     rollback_kills: int = 0
@@ -244,7 +159,7 @@ class ParseStats:
     #: Candidate components rejected by declarative spatial bounds before
     #: any combination containing them was examined (semi-naive mode only).
     combos_prefiltered: int = 0
-    #: Spatial predicate/band-index evaluations answered from the
+    #: Spatial predicate/table-selection evaluations answered from the
     #: per-symbol memo instead of being recomputed.  Reported separately
     #: from the ``combos_*`` counters on purpose: memoization skips
     #: *re-evaluation*, never enumeration, so the combo-reduction baseline
@@ -386,21 +301,12 @@ class BestEffortParser:
             analyze_grammar(grammar).raise_if_errors()
         self.grammar = grammar
         self.config = config or ParserConfig()
-        #: The concrete kernel (``"vector"``/``"scalar"``) this parser
-        #: runs -- resolved once at construction so a ``"vector"`` request
-        #: without numpy fails here, not mid-parse.
-        self.kernel: str = resolve_kernel(self.config.kernel)
-        #: The fix-point core implementation this parser runs -- bound at
-        #: construction (see :func:`use_core`), so a parser's behaviour is
-        #: fixed even if the process-wide default is swapped later.
-        self._core = active_core()
         self.schedule: Schedule = cached_schedule(grammar)
         self._winner_symbols = frozenset(
             preference.winner_symbol for preference in grammar.preferences
         )
         #: Stable per-grammar preference ordinals key the core's
-        #: enforcement watermarks (a compiled module cannot rely on
-        #: ``id()`` stability the way the old in-class code did).
+        #: enforcement watermarks.
         ordinals = {
             id(preference): ordinal
             for ordinal, preference in enumerate(grammar.preferences)
@@ -439,11 +345,8 @@ class BestEffortParser:
         ``BudgetExceeded`` instead -- an explicit caller opt-out of the
         never-raises contract.)
         """
-        core = self._core
         started = time.perf_counter()
-        stats = ParseStats(tokens=len(tokens), compiled=core.is_compiled())
-        if self.config.evaluation == "seminaive":
-            stats.kernel = self.kernel
+        stats = ParseStats(tokens=len(tokens))
         combos_budget = self.config.max_combos
         if guard is not None and guard.limits.max_combos is not None:
             combos_budget = min(combos_budget, guard.limits.max_combos)
@@ -454,10 +357,8 @@ class BestEffortParser:
         # When it applies, the per-token winner index is never built at
         # all (``winner_symbols`` empty), which removes one index insert
         # per covered token per winner-symbol instance from the hot path.
-        masked = self.kernel == "vector" and all(
-            token.id < 64 for token in tokens
-        )
-        state = core.ParseCore(
+        masked = all(token.id < 64 for token in tokens)
+        state = ParseCore(
             instances_left=self.config.max_instances,
             combos_left=combos_budget,
             winner_symbols=(
@@ -465,7 +366,7 @@ class BestEffortParser:
             ),
         )
         state.masked_enforcement = masked
-        counters = core.CoreCounters()
+        counters = CoreCounters()
         gc_paused = self.config.pause_gc and gc.isenabled()
         if gc_paused:
             gc.disable()
@@ -491,10 +392,8 @@ class BestEffortParser:
                     for ordinal, preference, subsume in (
                         self._preferences_by_symbol.get(symbol, ())
                     ):
-                        core.enforce(
-                            state, ordinal, preference, subsume, counters
-                        )
-                    core.maybe_compact(state, counters)
+                        enforce(state, ordinal, preference, subsume, counters)
+                    maybe_compact(state, counters)
                 if exhausted:
                     break
 
@@ -527,11 +426,10 @@ class BestEffortParser:
         productions = self.grammar.productions_for(symbol)
         if not productions:
             return 0
-        core = self._core
         # Per-symbol combination allowance: proportional to the instance
         # budget remaining for this parse, so a pathological production
         # cannot burn the combination budget owed to later symbols.
-        cap: SymbolBudget = core.SymbolBudget(
+        cap = SymbolBudget(
             self.config.max_combos_per_instance * max(1, state.instances_left)
         )
         if self.config.evaluation == "naive":
@@ -539,14 +437,13 @@ class BestEffortParser:
                 symbol, productions, state, cap, counters, guard
             )
         else:
-            created = core.instantiate_symbol(
+            created = instantiate_symbol(
                 symbol,
                 productions,
                 state,
                 cap,
                 counters,
                 guard.tick if guard is not None else None,
-                self.kernel == "vector",
                 self.config.memoize_spatial,
             )
         if cap.combos_left <= 0:

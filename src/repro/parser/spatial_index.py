@@ -1,39 +1,28 @@
-"""Spatial indexing and the columnar geometry kernel.
+"""The columnar geometry kernel behind spatial pre-filtering.
 
 Every spatial relation of the grammar implies *adjacency* (paper Section
 4.1), so a production annotated with declarative bounds (see
 :mod:`repro.grammar.production`) only ever combines instances that sit
-within a bounded envelope of each other.  This module supplies two
-interchangeable ways to exploit that:
+within a bounded envelope of each other.  :class:`GeometryTable` exploits
+that set-at-a-time: a pool's bounding boxes are held as parallel numpy
+coordinate columns (``left``/``right``/``top``/``bottom``, one row per
+instance, row ids stable by construction), so a production's whole
+interval conjunction evaluates as a handful of vectorized comparisons
+producing one boolean mask over the entire pool instead of N Python
+predicate calls.
 
-* :class:`BandIndex` -- the scalar path: one symbol's instances kept in
-  top-coordinate order (binary-searched with :mod:`bisect`, the stdlib
-  ``searchsorted``), so a vertically-bounded query scans only the
-  contiguous window of plausible rows before the exact per-pair interval
-  checks run.
-* :class:`GeometryTable` -- the vector path: the pool's bounding boxes
-  held as parallel numpy coordinate columns (``left``/``right``/``top``/
-  ``bottom``, one row per instance, row ids stable by construction), so a
-  production's whole interval conjunction evaluates as a handful of
-  vectorized comparisons producing one boolean mask over the entire pool
-  instead of N Python predicate calls.
-
-Both are conservative by construction and return exactly the pool members
-satisfying the requested axis specs against the query box in ``uid``
-(pool) order, so a production constraint is never starved of a
-combination it would accept and enumeration order is identical whichever
-path -- or neither -- runs.
-
-numpy is an **optional** dependency (the ``repro[fast]`` extra): kernel
-selection (:func:`resolve_kernel`) degrades ``"auto"`` to the scalar path
-when it is absent, and :class:`GeometryTable` refuses construction rather
-than half-working.
+The scalar predicates :func:`h_allows` / :func:`v_allows` define what the
+masks compute: a row passes iff the predicate accepts its instance, and
+selections come back in ``uid`` (pool) order, so a production constraint
+is never starved of a combination it would accept and enumeration order
+is identical whether a pool is filtered through the table or scanned.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any, Sequence
+
+import numpy
 
 from repro.grammar.instance import Instance
 from repro.grammar.production import AxisSpec
@@ -44,56 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Pools smaller than this are cheaper to scan than to index.
 MIN_INDEXED_POOL = 8
-
-#: Recognised kernel requests (``ParserConfig.kernel``).
-KERNEL_MODES = ("auto", "vector", "scalar")
-
-_NUMPY: Any = None
-_NUMPY_PROBED = False
-
-
-def _load_numpy() -> Any:
-    """The numpy module, or ``None`` when not installed (probed once)."""
-    global _NUMPY, _NUMPY_PROBED
-    if not _NUMPY_PROBED:
-        _NUMPY_PROBED = True
-        try:
-            import numpy
-        except ImportError:
-            _NUMPY = None
-        else:
-            _NUMPY = numpy
-    return _NUMPY
-
-
-def numpy_available() -> bool:
-    """True when the vectorized kernel can run in this interpreter."""
-    return _load_numpy() is not None
-
-
-def resolve_kernel(kernel: str) -> str:
-    """Resolve a kernel request to the concrete kernel that will run.
-
-    ``"auto"`` picks ``"vector"`` when numpy is importable and
-    ``"scalar"`` otherwise; ``"vector"`` demands numpy (raising
-    ``RuntimeError`` with the install hint when absent); ``"scalar"``
-    always resolves to itself.
-    """
-    if kernel not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {KERNEL_MODES}"
-        )
-    if kernel == "scalar":
-        return "scalar"
-    if numpy_available():
-        return "vector"
-    if kernel == "vector":
-        raise RuntimeError(
-            "kernel='vector' requires numpy, which is not installed; "
-            "install the optional extra (pip install 'repro[fast]') or "
-            "use kernel='auto' to fall back to the scalar path"
-        )
-    return "scalar"
 
 
 # -- scalar axis predicates ---------------------------------------------------
@@ -129,105 +68,6 @@ def v_allows(spec: AxisSpec, anchor: BBox, candidate: BBox) -> bool:
     return anchor.vertical_gap(candidate) <= spec
 
 
-# -- the scalar band index ----------------------------------------------------
-
-
-class BandIndex:
-    """Sorted-column index over one symbol's frozen instance pool.
-
-    The pool is frozen at construction (the parser indexes only pools that
-    cannot grow during the current fix-point).  Rows are kept in
-    ``bbox.top`` order with the tops in a parallel sorted list, so a
-    vertical envelope query binary-searches (`bisect`, the stdlib
-    ``searchsorted``) down to the contiguous window of rows whose spans
-    can intersect it, then runs the exact axis predicates on that window
-    only.  Queries return candidates in ``uid`` order, matching plain pool
-    iteration, so enumeration order -- and therefore parse determinism --
-    is unaffected by indexing.
-    """
-
-    __slots__ = (
-        "instances",
-        "_by_top",
-        "_tops",
-        "_max_height",
-        "_min_top",
-        "_max_bottom",
-    )
-
-    def __init__(self, instances: list[Instance]) -> None:
-        self.instances = instances
-        by_top = sorted(instances, key=lambda inst: (inst.bbox.top, inst.uid))
-        self._by_top = by_top
-        self._tops = [inst.bbox.top for inst in by_top]
-        max_height = 0.0
-        min_top = float("inf")
-        max_bottom = float("-inf")
-        for inst in instances:
-            box = inst.bbox
-            height = box.bottom - box.top
-            if height > max_height:
-                max_height = height
-            if box.top < min_top:
-                min_top = box.top
-            if box.bottom > max_bottom:
-                max_bottom = box.bottom
-        self._max_height = max_height
-        self._min_top = min_top
-        self._max_bottom = max_bottom
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    def near(
-        self, box: BBox, h_spec: AxisSpec, v_spec: AxisSpec
-    ) -> list[Instance]:
-        """Pool members satisfying both axis specs against *box*.
-
-        Results are in ``uid`` order.  With ``v_spec`` ``None`` this
-        degenerates to a filtered scan of the full pool (callers should
-        prefer a vertically-constrained spec as the windowing key).
-        """
-        if v_spec is None or not self.instances:
-            candidates: Sequence[Instance] = self.instances
-            presorted = True
-        else:
-            signed = type(v_spec) is tuple
-            if signed:
-                # Signed: candidate.top must land in [bottom+lo, bottom+hi].
-                lo, hi = v_spec  # type: ignore[misc]
-                top = self._min_top if lo is None else box.bottom + lo
-                bottom = self._max_bottom if hi is None else box.bottom + hi
-            else:
-                # Symmetric: candidate span within v_spec of the query span.
-                top = box.top - v_spec  # type: ignore[operator]
-                bottom = box.bottom + v_spec  # type: ignore[operator]
-            if top > self._max_bottom or bottom < self._min_top:
-                return []
-            # Window of rows that can qualify: tops at most the envelope
-            # bottom; for span-intersection queries the row's *bottom*
-            # must also reach the envelope top, so widen the lower edge by
-            # the tallest row in the pool.
-            lower = top if signed else top - self._max_height
-            first = bisect_left(self._tops, lower)
-            last = bisect_right(self._tops, bottom, lo=first)
-            if last - first >= len(self.instances):
-                candidates = self.instances
-                presorted = True
-            else:
-                candidates = self._by_top[first:last]
-                presorted = False
-        selected = [
-            instance
-            for instance in candidates
-            if h_allows(h_spec, box, instance.bbox)
-            and v_allows(v_spec, box, instance.bbox)
-        ]
-        if not presorted:
-            selected.sort(key=lambda instance: instance.uid)
-        return selected
-
-
 # -- the vectorized geometry table --------------------------------------------
 
 
@@ -245,11 +85,6 @@ class GeometryTable:
     __slots__ = ("instances", "left", "right", "top", "bottom")
 
     def __init__(self, instances: list[Instance]) -> None:
-        numpy = _load_numpy()
-        if numpy is None:  # pragma: no cover - guarded by resolve_kernel
-            raise RuntimeError(
-                "GeometryTable requires numpy (pip install 'repro[fast]')"
-            )
         self.instances = instances
         count = len(instances)
         left = numpy.empty(count, dtype=numpy.float64)
@@ -277,9 +112,7 @@ class GeometryTable:
     # ``(A, 1)`` column vectors (a whole anchor pool -> an ``A x C`` mask
     # matrix); numpy broadcasting handles both identically.
 
-    def _h_mask(
-        self, spec: AxisSpec, a_left: Any, a_right: Any, numpy: Any
-    ) -> Any:
+    def _h_mask(self, spec: AxisSpec, a_left: Any, a_right: Any) -> Any:
         if type(spec) is tuple:
             displacement = self.left - a_right
             lo, hi = spec
@@ -295,9 +128,7 @@ class GeometryTable:
         numpy.maximum(gap, 0.0, out=gap)
         return gap <= spec
 
-    def _v_mask(
-        self, spec: AxisSpec, a_top: Any, a_bottom: Any, numpy: Any
-    ) -> Any:
+    def _v_mask(self, spec: AxisSpec, a_top: Any, a_bottom: Any) -> Any:
         if type(spec) is tuple:
             displacement = self.top - a_bottom
             lo, hi = spec
@@ -325,17 +156,16 @@ class GeometryTable:
         :func:`v_allows` for every check, in one vectorized pass; results
         keep pool (``uid``) order.
         """
-        numpy = _load_numpy()
         mask: Any = None
         for anchor_position, h_spec, v_spec in checks:
             anchor_instance = combo[anchor_position]
             assert anchor_instance is not None
             anchor = anchor_instance.bbox
             if h_spec is not None:
-                h_mask = self._h_mask(h_spec, anchor.left, anchor.right, numpy)
+                h_mask = self._h_mask(h_spec, anchor.left, anchor.right)
                 mask = h_mask if mask is None else mask & h_mask
             if v_spec is not None:
-                v_mask = self._v_mask(v_spec, anchor.top, anchor.bottom, numpy)
+                v_mask = self._v_mask(v_spec, anchor.top, anchor.bottom)
                 mask = v_mask if mask is None else mask & v_mask
         if mask is None:
             return self.instances
@@ -358,7 +188,6 @@ class GeometryTable:
         parser sees.  ``result[row]`` equals ``select(checks, <anchors[row]>)``,
         element for element.
         """
-        numpy = _load_numpy()
         count = len(anchors)
         a_left = numpy.empty((count, 1), dtype=numpy.float64)
         a_right = numpy.empty((count, 1), dtype=numpy.float64)
@@ -373,10 +202,10 @@ class GeometryTable:
         mask: Any = None
         for _, h_spec, v_spec in checks:
             if h_spec is not None:
-                h_mask = self._h_mask(h_spec, a_left, a_right, numpy)
+                h_mask = self._h_mask(h_spec, a_left, a_right)
                 mask = h_mask if mask is None else mask & h_mask
             if v_spec is not None:
-                v_mask = self._v_mask(v_spec, a_top, a_bottom, numpy)
+                v_mask = self._v_mask(v_spec, a_top, a_bottom)
                 mask = v_mask if mask is None else mask & v_mask
         if mask is None:
             return [self.instances] * count

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.batch import BatchExtractor, BatchRecord, BatchReport
@@ -98,6 +100,26 @@ class TestReportAggregation:
         assert summary["errors"] == 1
         assert summary["jobs"] == 2
         assert "3 forms with 2 job(s)" in report.describe()
+
+    def test_extracted_report_stats_is_the_fieldwise_sum(self):
+        """Every ParseStats field is a number or a flag, so a report's
+        stats is the field-wise sum (flags OR together); a string field
+        would be concatenated instead."""
+        report = BatchExtractor(jobs=1).extract_html(_SOURCES[:3])
+        per_form = [record.stats for record in report.records]
+        assert len(per_form) == 3
+        assert all(stats is not None for stats in per_form)
+        total = report.stats
+        for spec in dataclasses.fields(ParseStats):
+            values = [getattr(stats, spec.name) for stats in per_form]
+            assert all(
+                type(value) in (int, float, bool) for value in values
+            ), spec.name
+            if isinstance(values[0], bool):
+                expected = any(values)
+            else:
+                expected = sum(values)
+            assert getattr(total, spec.name) == expected, spec.name
 
 
 class TestParallelPath:

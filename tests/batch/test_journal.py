@@ -2,7 +2,10 @@
 
 import json
 
+from repro.batch import BatchRecord
 from repro.batch.journal import BatchJournal, job_key
+from repro.parser.parser import ParseStats
+from repro.semantics.condition import SemanticModel
 
 
 def _payload(name: str, error: str | None = None) -> dict:
@@ -55,6 +58,25 @@ class TestRoundTrip:
         reader = BatchJournal(path, resume=True)
         assert len(reader) == 1  # documented ...
         assert reader.completed_payload("0:a") is None  # ... but re-run
+
+
+class TestOldCheckpoints:
+    def test_retired_stats_stamps_still_resume(self, tmp_path):
+        """A checkpoint whose stats still carry the retired ``kernel`` and
+        ``compiled`` stamps resumes with every counter intact."""
+        stats = ParseStats(tokens=7, instances_created=5, truncated=True)
+        payload = BatchRecord(
+            index=0, model=SemanticModel(), stats=stats, elapsed_seconds=0.5
+        ).to_payload()
+        payload["stats"].update({"kernel": "vector", "compiled": False})
+        path = tmp_path / "journal.jsonl"
+        BatchJournal(path).append("0:a", payload)
+        journaled = BatchJournal(path, resume=True).completed_payload("0:a")
+        record = BatchRecord.from_payload(journaled, 0)
+        assert record.ok, record.error
+        assert record.resumed
+        assert record.stats == stats
+        assert record.elapsed_seconds == 0.5
 
 
 class TestDamageTolerance:

@@ -1,42 +1,26 @@
-"""The interned-id parser core: invariants and build equivalence.
+"""The interned-id parser core: invariants on every enforcement path.
 
 ``repro.parser.core`` keeps its bookkeeping in dense interned ids
 (``Instance.iid``) -- id-keyed bucket lists and subtree bitmasks instead
-of object sets -- and is written to compile under mypyc.  Both moves
-must be invisible: this suite pins the interning invariants the core
-relies on (dense ids, registration order, mask/set agreement) and
-extends the kernel equivalence net to the *build* axis: the interpreted
-module, an independently loaded twin of it, and (when importable) the
-mypyc-compiled build must produce byte-identical results across
-naive/scalar/vector evaluation.  The compiled legs skip gracefully
-where no compiled build exists -- the CI ``compiled-build`` job is the
-environment that exercises them for real.
+of object sets.  That move must be invisible: this suite pins the
+interning invariants the core relies on (dense ids, registration order,
+mask/set agreement) under masked enforcement, its row-at-a-time
+fallback, and the per-token winner index, and checks that the three
+paths and naive evaluation give one answer.
 """
 
 from __future__ import annotations
-
-import importlib.util
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from repro.grammar.standard import build_standard_grammar
-from repro.parser import core as parser_core
-from repro.parser.parser import (
-    BestEffortParser,
-    ParserConfig,
-    ParseStats,
-    active_core,
-    load_interpreted_core,
-    use_core,
-)
-from repro.parser.spatial_index import numpy_available
-from tests.parser.test_kernel_equivalence import _fingerprint, zipf_soups
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(),
-    reason="vector kernel needs numpy (pip install 'repro[fast]')",
+from repro.parser.parser import BestEffortParser, ParserConfig
+from tests.parser.test_kernel_equivalence import (
+    _fingerprint,
+    _parse_row_fallback,
+    shift_ids,
+    zipf_soups,
 )
 
 _GRAMMAR = build_standard_grammar()
@@ -64,26 +48,6 @@ def _form_tokens():
 
 def _parse(tokens, **config):
     return BestEffortParser(_GRAMMAR, ParserConfig(**config)).parse(tokens)
-
-
-def _load_twin():
-    """An independent module object running the interpreted core source.
-
-    When the installed core is compiled this is exactly
-    :func:`load_interpreted_core`; otherwise the twin is loaded by hand
-    so the ``use_core`` plumbing is exercised with a genuinely distinct
-    module even in interpreter-only environments.
-    """
-    if parser_core.is_compiled():
-        return load_interpreted_core()
-    path = Path(parser_core.__file__)
-    spec = importlib.util.spec_from_file_location(
-        "repro.parser._twin_core", path
-    )
-    assert spec is not None and spec.loader is not None
-    twin = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(twin)
-    return twin
 
 
 # ---------------------------------------------------------------------------
@@ -136,175 +100,46 @@ def test_intern_table_rejects_double_interning():
         table.add(inst)
 
 
+def test_equivalence_net_on_form():
+    """naive / masked matrix / masked rows / winner index: one answer.
+
+    The three semi-naive paths agree in full; naive agrees structurally
+    (it enumerates differently, so its counters drift).
+    """
+    tokens = _form_tokens()
+    baseline = _fingerprint(_parse(tokens))
+    assert _fingerprint(_parse(shift_ids(tokens))) == baseline
+    assert _fingerprint(_parse_row_fallback(_GRAMMAR, tokens)) == baseline
+    naive = _fingerprint(_parse(tokens, evaluation="naive"))
+    for key in ("trees", "creation_order", "conditions", "truncated"):
+        assert naive[key] == baseline[key]
+
+
 class TestInterningProperties:
     @given(zipf_soups())
     @settings(max_examples=40, deadline=None)
     def test_invariants_hold_on_random_soups(self, tokens):
-        _check_interning_invariants(_parse(tokens, kernel="scalar"))
+        _check_interning_invariants(_parse(tokens))
 
-    @requires_numpy
     @given(zipf_soups())
     @settings(max_examples=25, deadline=None)
-    def test_invariants_hold_under_vector_kernel(self, tokens):
-        _check_interning_invariants(_parse(tokens, kernel="vector"))
+    def test_invariants_hold_under_winner_index(self, tokens):
+        _check_interning_invariants(_parse(shift_ids(tokens)))
 
-
-# ---------------------------------------------------------------------------
-# The compiled stamp.
-# ---------------------------------------------------------------------------
-
-
-def test_parse_stats_compiled_stamp():
-    """``stats.compiled`` records the build of the core that parsed."""
-    result = _parse(_form_tokens())
-    assert result.stats.compiled is parser_core.is_compiled()
-
-
-def test_compiled_is_a_stamp_not_a_counter():
-    """Like ``kernel``, ``compiled`` must stay out of ``counters()`` --
-    counter sums and cache replays treat every counter as additive."""
-    stats = ParseStats(tokens=0)
-    assert "compiled" not in stats.counters()
-    assert "kernel" not in stats.counters()
-
-
-def test_extractor_tags_compiled():
-    from repro.extractor import FormExtractor
-    from repro.observability.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    extractor = FormExtractor(metrics=registry)
-    detailed = extractor.extract_from_tokens(_form_tokens())
-    trace = detailed.trace
-    assert trace is not None
-    parse_stage = trace.span_named("parse.construct")
-    assert parse_stage is not None
-    assert parse_stage.tags["compiled"] is parser_core.is_compiled()
-    flag = "true" if parser_core.is_compiled() else "false"
-    assert registry.counter(f"parse.compiled.{flag}") >= 1
-
-
-# ---------------------------------------------------------------------------
-# Core swapping and build equivalence.
-# ---------------------------------------------------------------------------
-
-
-def test_use_core_roundtrip():
-    default = active_core()
-    twin = _load_twin()
-    previous = use_core(twin)
-    try:
-        assert previous is default
-        assert active_core() is twin
-    finally:
-        use_core(previous)
-    assert active_core() is default
-
-
-def test_load_interpreted_core_is_idempotent():
-    first = load_interpreted_core()
-    second = load_interpreted_core()
-    assert first is second
-    if not parser_core.is_compiled():
-        # Interpreter-only build: the module *is* the interpreted core.
-        assert first is parser_core
-
-
-def _parse_with_core(core_module, tokens, **config):
-    previous = use_core(core_module)
-    try:
-        return _parse(tokens, **config)
-    finally:
-        use_core(previous)
-
-
-def test_six_way_equivalence_net():
-    """naive/scalar/vector x interpreted/compiled: one answer.
-
-    Without a compiled build the second core leg is the independently
-    loaded interpreted twin -- weaker evidence, but it keeps the whole
-    swap-and-parse path exercised everywhere; the CI ``compiled-build``
-    job runs this same test with the mypyc build installed, where the
-    twin *is* the interpreted source and the net carries full weight.
-    """
-    tokens = _form_tokens()
-    modes = [("naive", "scalar"), ("seminaive", "scalar")]
-    if numpy_available():
-        modes.append(("seminaive", "vector"))
-    cores = {"active": active_core(), "twin": _load_twin()}
-
-    fingerprints = {}
-    structural = ("trees", "creation_order", "conditions", "truncated")
-    for core_name, core_module in cores.items():
-        for evaluation, kernel in modes:
-            result = _parse_with_core(
-                core_module, tokens, evaluation=evaluation, kernel=kernel
-            )
-            assert result.stats.compiled is core_module.is_compiled()
-            fingerprints[(core_name, evaluation, kernel)] = _fingerprint(
-                result
-            )
-
-    # Across cores, every (evaluation, kernel) cell is byte-identical.
-    for evaluation, kernel in modes:
-        assert (
-            fingerprints[("active", evaluation, kernel)]
-            == fingerprints[("twin", evaluation, kernel)]
-        )
-    # Across kernels (same core), semi-naive cells agree in full; naive
-    # agrees structurally (it enumerates differently, so counters drift).
-    baseline = fingerprints[("active", "seminaive", "scalar")]
-    for evaluation, kernel in modes:
-        cell = fingerprints[("active", evaluation, kernel)]
-        if evaluation == "seminaive":
-            assert cell == baseline
-        else:
-            for key in structural:
-                assert cell[key] == baseline[key]
-
-
-class TestBuildEquivalenceProperties:
     @given(zipf_soups())
     @settings(max_examples=25, deadline=None)
-    def test_twin_core_agrees_on_random_soups(self, tokens):
-        twin = _load_twin()
-        default = _parse(tokens, kernel="scalar")
-        swapped = _parse_with_core(twin, tokens, kernel="scalar")
-        assert _fingerprint(swapped) == _fingerprint(default)
+    def test_invariants_hold_under_row_fallback(self, tokens):
+        _check_interning_invariants(_parse_row_fallback(_GRAMMAR, tokens))
 
     @given(zipf_soups())
     @settings(max_examples=10, deadline=None)
-    def test_twin_core_agrees_on_shipped_grammars(self, tokens):
-        """Every shipped grammar, not just the standard one, parses
-        identically under a swapped core build."""
+    def test_invariants_hold_on_shipped_grammars(self, tokens):
+        """Every shipped grammar, not just the standard one, interns
+        densely in registration order."""
         from repro.apps.navmenu import build_menu_grammar
         from repro.grammar.example_g import build_example_grammar
 
-        twin = _load_twin()
         for grammar in (build_example_grammar(), build_menu_grammar()):
-            parser = BestEffortParser(grammar, ParserConfig(kernel="scalar"))
-            default = parser.parse(tokens)
-            previous = use_core(twin)
-            try:
-                swapped = BestEffortParser(
-                    grammar, ParserConfig(kernel="scalar")
-                ).parse(tokens)
-            finally:
-                use_core(previous)
-            assert _fingerprint(swapped) == _fingerprint(default)
-            _check_interning_invariants(swapped)
-
-
-@pytest.mark.skipif(
-    not parser_core.is_compiled(),
-    reason="no mypyc build installed; the CI compiled-build job runs this",
-)
-def test_compiled_core_is_actually_compiled():
-    """When the mypyc build is importable, prove the two legs differ:
-    the active core reports compiled, the interpreted twin does not."""
-    assert parser_core.is_compiled()
-    twin = load_interpreted_core()
-    assert twin is not parser_core
-    assert not twin.is_compiled()
-    result = _parse_with_core(twin, _form_tokens())
-    assert result.stats.compiled is False
+            _check_interning_invariants(
+                BestEffortParser(grammar).parse(tokens)
+            )

@@ -1,9 +1,9 @@
 """Semi-naive vs naive fix-point equivalence.
 
 The semi-naive evaluator (frontier deltas + declarative spatial bounds +
-band indexing) must be a pure performance transformation: on every input it
-has to produce the same instances in the same order as the original
-full-product-with-dedup loop, hence identical maximal trees and an
+geometry-table prefiltering) must be a pure performance transformation: on
+every input it has to produce the same instances in the same order as the
+original full-product-with-dedup loop, hence identical maximal trees and an
 identical merged semantic model.  These tests check that end to end over
 generated forms from every domain, plus the truncation paths and the
 conservativeness of the declarative bounds themselves.
