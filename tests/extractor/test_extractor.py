@@ -16,6 +16,7 @@ from repro.extractor import (
     FormNotFoundError,
     extract_capabilities,
 )
+from repro.parser.parser import ParserConfig
 from repro.semantics.condition import Domain
 
 
@@ -182,6 +183,47 @@ class TestApiSurface:
         # Grammar G has no condition constructors, so no conditions come
         # out -- but extraction must run cleanly.
         assert model.conditions == []
+
+
+class TestParseAndMergeSpans:
+    """The plain and the degradation-ladder token entries share one
+    parse-and-merge block, so both record the same spans and tags."""
+
+    @pytest.fixture(scope="class")
+    def tokens(self):
+        return FormExtractor().extract_detailed(QAM_HTML).tokens
+
+    @pytest.mark.parametrize("resilience", [False, True],
+                             ids=["plain", "ladder"])
+    def test_spans_carry_parse_and_merge_counters(self, tokens, resilience):
+        detail = FormExtractor(resilience=resilience).extract_from_tokens(
+            tokens
+        )
+        trace = detail.trace
+        assert [span.name for span in trace.spans] == [
+            "parse.construct", "parse.maximize", "merge",
+        ]
+        construct = trace.span_named("parse.construct")
+        assert construct.counters == detail.parse.stats.counters()
+        assert construct.tags == {}
+        assert trace.span_named("parse.maximize").counters == {
+            "trees": len(detail.parse.trees)
+        }
+        merge = trace.span_named("merge")
+        assert merge.counters == detail.report.counters()
+
+    @pytest.mark.parametrize("resilience", [False, True],
+                             ids=["plain", "ladder"])
+    def test_truncation_tags_the_construct_span(self, tokens, resilience):
+        extractor = FormExtractor(
+            parser_config=ParserConfig(max_instances=40),
+            resilience=resilience,
+        )
+        construct = extractor.extract_from_tokens(tokens).trace.span_named(
+            "parse.construct"
+        )
+        assert construct.tags == {"truncated": True}
+        assert construct.counters["truncated"] == 1
 
 
 class TestRobustness:

@@ -1,8 +1,15 @@
 """Tests for the best-effort parser core: fix-point, pruning, rollback."""
 
+import dataclasses
+
 from repro.grammar.dsl import GrammarBuilder
 from repro.grammar.preference import subsumes
-from repro.parser.parser import BestEffortParser, ExhaustiveParser, ParserConfig
+from repro.parser.parser import (
+    BestEffortParser,
+    ExhaustiveParser,
+    ParserConfig,
+    ParseStats,
+)
 from repro.spatial import left_of
 from tests.conftest import make_token
 
@@ -166,6 +173,27 @@ class TestResultAccounting:
             1 for i in result.instances if i.alive and not i.is_terminal
         )
         assert alive == result.stats.instances_alive
+
+    def test_counters_cover_every_field_but_timings(self):
+        """``counters()`` feeds the ``parse.construct`` span and its
+        metrics; every ParseStats field except the wall-clock timings
+        must reach it, flags as 0/1."""
+        g = list_grammar()
+        g.prefer("L", over="L", when=subsumes)
+        result = BestEffortParser(g.build()).parse(
+            row_tokens("radiobutton", "text", "radiobutton", "text")
+        )
+        stats = result.stats
+        fields = {spec.name for spec in dataclasses.fields(ParseStats)}
+        timings = {name for name in fields if name.endswith("_seconds")}
+        assert timings == {
+            "elapsed_seconds", "construction_seconds", "maximization_seconds",
+        }
+        counters = stats.counters()
+        assert set(counters) == fields - timings
+        for name, value in counters.items():
+            assert type(value) is int, name
+            assert value == int(getattr(stats, name)), name
 
     def test_elapsed_time_positive(self):
         grammar = list_grammar().build()
