@@ -144,14 +144,16 @@ def test_parse_time_batch_seminaive_vs_naive(benchmark):
 
     def run(mode):
         parser = BestEffortParser(grammar, ParserConfig(evaluation=mode))
-        combos = 0
+        combos = instances = 0
         started = time.perf_counter()
         for tokens in token_sets:
-            combos += parser.parse(tokens).stats.combos_examined
-        return time.perf_counter() - started, combos
+            stats = parser.parse(tokens).stats
+            combos += stats.combos_examined
+            instances += stats.instances_created
+        return time.perf_counter() - started, combos, instances
 
-    naive_seconds, naive_combos = run("naive")
-    fast_seconds, fast_combos = benchmark.pedantic(
+    naive_seconds, naive_combos, _ = run("naive")
+    fast_seconds, fast_combos, fast_instances = benchmark.pedantic(
         lambda: run("seminaive"), rounds=1, iterations=1
     )
     combo_ratio = naive_combos / max(1, fast_combos)
@@ -159,6 +161,7 @@ def test_parse_time_batch_seminaive_vs_naive(benchmark):
     record_metric("batch120.naive.wall_seconds", round(naive_seconds, 4))
     record_metric("batch120.naive.combos_examined", naive_combos)
     record_metric("batch120.seminaive.combos_examined", fast_combos)
+    record_metric("batch120.seminaive.instances_created", fast_instances)
     record_metric("batch120.combo_reduction", round(combo_ratio, 2))
     record_metric("batch120.singleprocess_speedup", round(speedup, 2))
     record_metric("batch120.forms", len(token_sets))

@@ -11,6 +11,10 @@ or a reduced ``REPRO_BENCH_BATCH`` smoke batch:
 
 * ``seminaive`` combos examined **per form** -- the semi-naive
   evaluator's enumeration work must not creep back up;
+* ``seminaive`` instances created **per form** -- an exact work counter,
+  so a blow-up of temporary instances (every subset of rows stacked as
+  a ``QI`` before pruning) cannot come back disguised as wall-clock
+  noise;
 * ``combo_reduction`` -- semi-naive vs naive enumeration ratio;
 * ``cache.hit_rate`` -- an identical second pass must be served from the
   extraction cache;
@@ -41,13 +45,16 @@ import json
 import sys
 from pathlib import Path
 
-# Tolerances.  Current measured values: ~436 combos/form on the full
-# 120-interface corpus (~504 on the 30-interface smoke batch, whose form
-# mix skews larger), 7.5x combo reduction, 1.0 cache hit rate, >20x
-# cached speedup.  A lost prefilter blows combos/form up by an order of
-# magnitude, so ~10% headroom over the smoke value still catches every
-# real regression.
+# Tolerances.  Current measured values: ~225 combos/form and ~142
+# instances/form on the full 120-interface corpus (~243 and ~151 on the
+# 30-interface smoke batch, whose form mix skews larger), 3.9x combo
+# reduction, 1.0 cache hit rate, ~14x cached speedup.  A lost prefilter
+# blows combos/form up by an order of magnitude, so the combo bar's
+# headroom still catches every real regression.  Without per-round
+# pruning of recursive symbols the batch builds ~351 instances/form
+# (~412 on the smoke batch), so the instance bar sits between the two.
 MAX_COMBOS_PER_FORM = 560.0
+MAX_INSTANCES_PER_FORM = 200
 MIN_COMBO_REDUCTION = 3.0
 MIN_CACHE_HIT_RATE = 0.95
 MIN_CACHED_SPEEDUP = 5.0
@@ -89,6 +96,13 @@ def check(metrics: dict, require_multicore: bool = False) -> list[str]:
         gate(
             "seminaive combos per form", round(per_form, 1),
             per_form <= MAX_COMBOS_PER_FORM, f"<= {MAX_COMBOS_PER_FORM:g}",
+        )
+        instances = _require(metrics, "batch120.seminaive.instances_created")
+        per_form = instances / max(1, forms)
+        gate(
+            "seminaive instances per form", round(per_form, 1),
+            per_form <= MAX_INSTANCES_PER_FORM,
+            f"<= {MAX_INSTANCES_PER_FORM:g}",
         )
         reduction = _require(metrics, "batch120.combo_reduction")
         gate(

@@ -93,6 +93,9 @@ class BenchResult:
     rounds: list[float] = field(default_factory=list)
     combos_examined: int = 0
     instances_created: int = 0
+    #: Forms whose parse stopped at a budget: their wall time measures
+    #: the cap, not the parser.
+    truncated: int = 0
 
     def describe(self) -> str:
         per_form = 1000.0 * self.wall_seconds / max(1, self.forms)
@@ -104,7 +107,7 @@ class BenchResult:
             f"({per_form:.1f} ms/interface) over {len(self.rounds)} "
             f"round(s): [{rounds}]\n"
             f"combos examined: {self.combos_examined}, instances created: "
-            f"{self.instances_created}"
+            f"{self.instances_created}, truncated forms: {self.truncated}"
         )
 
 
@@ -119,14 +122,15 @@ def run_parse_bench(
     """
     parser = BestEffortParser(build_standard_grammar())
     rounds: list[float] = []
-    combos = instances = 0
+    combos = instances = truncated = 0
     for _ in range(max(1, repeats)):
-        combos = instances = 0
+        combos = instances = truncated = 0
         started = time.perf_counter()
         for tokens in token_sets:
             stats = parser.parse(tokens).stats
             combos += stats.combos_examined
             instances += stats.instances_created
+            truncated += stats.truncated
         rounds.append(time.perf_counter() - started)
     average_size = (
         sum(len(tokens) for tokens in token_sets) / len(token_sets)
@@ -140,6 +144,7 @@ def run_parse_bench(
         rounds=rounds,
         combos_examined=combos,
         instances_created=instances,
+        truncated=truncated,
     )
 
 

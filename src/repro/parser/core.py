@@ -135,6 +135,11 @@ class SpatialMemo:
 #: ``bisect_left`` over the plain int list.
 Bucket = tuple[list[int], list[Instance]]
 
+#: One enforceable preference: ``(ordinal, preference, subsume?)``.  The
+#: ordinal keys the enforcement watermark; the flag selects the
+#: ``subsumes`` fast path.
+PreferenceEntry = tuple[int, Preference, bool]
+
 
 class ParseCore:
     """Per-parse mutable bookkeeping shared by the construction phases.
@@ -268,6 +273,7 @@ def instantiate_symbol(
     counters: CoreCounters,
     tick: "GuardTick | None",
     memoize: bool,
+    round_preferences: tuple[PreferenceEntry, ...],
 ) -> int:
     """Run one symbol's semi-naive fix-point; return #created.
 
@@ -275,12 +281,18 @@ def instantiate_symbol(
     *k* only enumerates combinations containing at least one instance
     created in round *k - 1* (the frontier), so no combination is ever
     examined twice and no dedup set is needed.
+
+    *round_preferences* (the symbol's self-``subsumes`` preferences, see
+    :func:`prune_round`) are enforced after every round, so killed
+    instances leave the head pool and the frontier before the next round
+    can build on them.
     """
     store = core.store
     dirty = core.dirty_symbols
     # Pools of non-head components are frozen for the whole fix-point:
-    # no other symbol is instantiated and no preference is enforced
-    # until this symbol completes, so snapshot (and index) them once.
+    # no other symbol is instantiated, and round pruning only kills
+    # head-symbol instances (and their ancestors, which at this point
+    # are head-symbol instances too), so snapshot (and index) them once.
     # A store pool with no tombstones is aliased outright -- it cannot
     # mutate until this fix-point ends (only the head symbol's pool
     # grows, and compaction runs between symbols, never during one).
@@ -346,8 +358,11 @@ def instantiate_symbol(
                 break
         for instance in new_instances:
             core.register(instance)
-            head_pool.append(instance)
         created_total += len(new_instances)
+        if new_instances and prune_round(core, round_preferences, counters):
+            head_pool = [inst for inst in head_pool if inst.alive]
+            new_instances = [inst for inst in new_instances if inst.alive]
+        head_pool.extend(new_instances)
         delta_len = len(new_instances)
         first_round = False
         if stop or not new_instances:
@@ -617,6 +632,28 @@ def passes(
 
 
 # -- just-in-time pruning -------------------------------------------------------------
+
+
+def prune_round(
+    core: ParseCore,
+    preferences: tuple[PreferenceEntry, ...],
+    counters: CoreCounters,
+) -> bool:
+    """Enforce *preferences* after one fix-point round; True if any died.
+
+    Run by both evaluators on a recursive symbol whose every preference
+    is a self-``subsumes`` one (``winner == loser == symbol``): a stack
+    subsumed by a bigger stack is killed before the next round can
+    extend it, instead of after every subset of rows has been stacked.
+    Such a rule compares the symbol only with itself, so running it
+    mid-fix-point enforces no preference ahead of its schedule slot;
+    the end-of-symbol pass still runs, and the watermark leaves it
+    almost nothing to do.
+    """
+    kills = counters.instances_pruned + counters.rollback_kills
+    for ordinal, preference, subsume in preferences:
+        enforce(core, ordinal, preference, subsume, counters)
+    return counters.instances_pruned + counters.rollback_kills > kills
 
 
 def enforce(

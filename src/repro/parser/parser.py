@@ -9,7 +9,13 @@ Phases:
    every preference involving that symbol is enforced, and each invalidated
    instance is *rolled back* -- its live ancestors are invalidated too, so
    a false instance's descendants (in the derivation sense: the parents it
-   helped build) never survive it.
+   helped build) never survive it.  A recursive symbol whose every
+   preference is a self-``subsumes`` one (``QI``, ``HQI``, ``RBList``,
+   ...) is pruned sooner, after *every round* of its fix-point: killed
+   instances leave the pool before the next round can extend them, and
+   the fix-point ends once no new instance survives.  Without this,
+   ``QI -> QI HQI`` stacks nearly every gap-respecting subset of a form's
+   rows before the bigger-interface rule gets to run once.
 
 2. **Partial-tree maximization** (``PRHandler``): keep the maximum partial
    trees under coverage subsumption.
@@ -62,15 +68,17 @@ from dataclasses import dataclass, field, replace
 
 from repro.grammar.grammar import TwoPGrammar
 from repro.grammar.instance import Instance
-from repro.grammar.preference import Preference, subsumes
+from repro.grammar.preference import subsumes
 from repro.grammar.production import Production
 from repro.parser.core import (
     CoreCounters,
     ParseCore,
+    PreferenceEntry,
     SymbolBudget,
     enforce,
     instantiate_symbol,
     maybe_compact,
+    prune_round,
 )
 from repro.parser.maximization import covered_tokens, maximal_roots
 from repro.parser.schedule import Schedule
@@ -318,7 +326,7 @@ class BestEffortParser:
         #: predicate get the dedicated enforcement fast path (see
         #: :func:`repro.parser.core.find_subsuming_winner`).
         self._preferences_by_symbol: dict[
-            str, tuple[tuple[int, Preference, bool], ...]
+            str, tuple[PreferenceEntry, ...]
         ] = {
             symbol: tuple(
                 (
@@ -329,6 +337,28 @@ class BestEffortParser:
                 for preference in grammar.preferences_involving(symbol)
             )
             for symbol in self.schedule.order
+        }
+        #: Just-in-time pruning per fix-point round: a recursive symbol
+        #: whose every preference is a self-``subsumes`` one (``QI``,
+        #: ``HQI``, ``RBList``, ...) enforces them after each round of its
+        #: fix-point (see :func:`repro.parser.core.prune_round`), so a
+        #: stack that skips a row dies before it is extended further.
+        self._round_preferences: dict[
+            str, tuple[PreferenceEntry, ...]
+        ] = {
+            symbol: entries
+            for symbol, entries in self._preferences_by_symbol.items()
+            if entries
+            and any(
+                symbol in production.components
+                for production in grammar.productions_for(symbol)
+            )
+            and all(
+                subsume
+                and preference.winner_symbol == symbol
+                and preference.loser_symbol == symbol
+                for _, preference, subsume in entries
+            )
         }
 
     # -- public API -------------------------------------------------------------
@@ -432,9 +462,15 @@ class BestEffortParser:
         cap = SymbolBudget(
             self.config.max_combos_per_instance * max(1, state.instances_left)
         )
+        round_preferences = (
+            self._round_preferences.get(symbol, ())
+            if self.config.enable_preferences
+            else ()
+        )
         if self.config.evaluation == "naive":
             created = self._instantiate_naive(
-                symbol, productions, state, cap, counters, guard
+                symbol, productions, state, cap, counters, guard,
+                round_preferences,
             )
         else:
             created = instantiate_symbol(
@@ -445,6 +481,7 @@ class BestEffortParser:
                 counters,
                 guard.tick if guard is not None else None,
                 self.config.memoize_spatial,
+                round_preferences,
             )
         if cap.combos_left <= 0:
             counters.symbol_truncations += 1
@@ -460,9 +497,15 @@ class BestEffortParser:
         cap: SymbolBudget,
         counters: CoreCounters,
         guard: ResourceGuard | None = None,
+        round_preferences: tuple[PreferenceEntry, ...] = (),
     ) -> int:
         """The original fix-point: full cartesian re-enumeration each round
-        with a ``seen_keys`` dedup set and no spatial pre-filtering."""
+        with a ``seen_keys`` dedup set and no spatial pre-filtering.
+
+        Round pruning matches the semi-naive evaluator's: pools are
+        re-read alive each round, so killed instances drop out of them,
+        and the fix-point ends when no instance of the round survives.
+        """
         seen_keys: set[tuple[str, tuple[int, ...]]] = set()
         created_total = 0
         stop = False
@@ -494,6 +537,10 @@ class BestEffortParser:
             for instance in new_instances:
                 state.register(instance)
             created_total += len(new_instances)
+            if new_instances and prune_round(
+                state, round_preferences, counters
+            ):
+                new_instances = [inst for inst in new_instances if inst.alive]
             if stop or not new_instances:
                 return created_total
 

@@ -1,0 +1,269 @@
+"""Just-in-time pruning per fix-point round: the same answer, less work.
+
+A recursive symbol whose every preference is a self-``subsumes`` one
+(``QI``, ``HQI``, ``RBList``, ...) enforces those preferences after each
+round of its fix-point instead of once the symbol completes, so a stack
+that skips a row dies before it is extended.  That must change how much
+is built, never what comes out.  The oracle is the same parser with its
+per-symbol round-preference table emptied, which restores
+end-of-symbol-only enforcement; against it, on every input the oracle
+parses to completion, round pruning must print the same trees, merge the
+same conditions, report the same conflict and missing tokens and the
+same ``truncated`` flag, and never create more instances.
+
+Where the oracle itself stops at the instance budget its answer is a
+budget-capped partial result, not a ground truth: there only the
+instance bound is checked (round pruning is what makes those inputs
+finish at all).
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.navmenu import build_menu_grammar
+from repro.datasets.domains import DOMAINS
+from repro.datasets.fixtures import (
+    QAA_HTML,
+    QAA_VARIANT_HTML,
+    QAM_FRAGMENT_HTML,
+    QAM_HTML,
+)
+from repro.datasets.generator import GeneratorProfile, SourceGenerator
+from repro.extractor import FormExtractor
+from repro.grammar.example_g import build_example_grammar
+from repro.grammar.standard import build_standard_grammar
+from repro.html.parser import parse_html
+from repro.merger import Merger
+from repro.parser.parser import BestEffortParser, ExhaustiveParser, ParserConfig
+from repro.tokens.tokenizer import FormTokenizer
+from tests.fuzz.corpus import SEEDS
+from tests.fuzz.mutator import mutations
+from tests.parser.test_kernel_equivalence import (
+    _TOKEN_SETS as ZIPF_FORMS,
+    zipf_soups,
+)
+from tests.parser.test_seminaive_equivalence import (
+    _TOKEN_SETS as GENERATED_FORMS,
+)
+
+_GRAMMARS = {
+    "standard": build_standard_grammar(),
+    "example_g": build_example_grammar(),
+    "navmenu": build_menu_grammar(),
+}
+
+#: The recursive symbols whose every preference is a self-``subsumes``
+#: one -- the symbols round pruning applies to, per shipped grammar.
+_ROUND_PRUNED = {
+    "standard": {"QI", "HQI", "RBList", "CBList"},
+    "example_g": {"QI", "HQI", "RBList"},
+    "navmenu": {"Page", "HMenu", "VMenu"},
+}
+
+#: Fuzz mutants in the leg: the fuzz harness's default seed, and the
+#: first 100 of its mutants.  The oracle runs the unpruned, exponential
+#: ``QI`` stacking, which bounds how many it can afford (one of these
+#: already drives the oracle into its budget).
+FUZZ_SEED = 20040613
+FUZZ_MUTANTS = 100
+
+_FIGURE_3 = {
+    "qam": QAM_HTML,
+    "qam-fragment": QAM_FRAGMENT_HTML,
+    "qaa": QAA_HTML,
+    "qaa-variant": QAA_VARIANT_HTML,
+}
+
+
+def _tokens_of(html):
+    """The tokens of the page's first form (the whole page without one)."""
+    document = parse_html(html)
+    forms = document.forms
+    return FormTokenizer(document).tokenize(forms[0] if forms else None)
+
+
+def _parse(grammar, tokens, oracle=False, **config):
+    parser = BestEffortParser(grammar, ParserConfig(**config))
+    if not oracle:
+        return parser.parse(tokens)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_round_preferences", {})
+        return parser.parse(tokens)
+
+
+def _answer(result):
+    """What a parse tells its caller: trees, model and token reports."""
+    report = Merger().merge(result)
+    return {
+        "trees": [tree.pretty() for tree in result.trees],
+        "conditions": [str(condition) for condition in report.model.conditions],
+        "conflict_tokens": [token.id for token in report.conflict_tokens],
+        "missing_tokens": [token.id for token in report.missing_tokens],
+        "truncated": result.stats.truncated,
+    }
+
+
+def _assert_matches_oracle(grammar, tokens, **config):
+    """Round pruning vs end-of-symbol-only enforcement on one input.
+
+    Returns False when the oracle stopped at its budget (nothing to
+    compare but the instance bound), True when the answers were
+    compared.
+    """
+    pruned = _parse(grammar, tokens, **config)
+    oracle = _parse(grammar, tokens, oracle=True, **config)
+    assert pruned.stats.instances_created <= oracle.stats.instances_created
+    if oracle.stats.truncated:
+        return False
+    assert _answer(pruned) == _answer(oracle)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The oracle leg.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("evaluation", ["seminaive", "naive"])
+@pytest.mark.parametrize(
+    "label,tokens", GENERATED_FORMS, ids=[label for label, _ in GENERATED_FORMS]
+)
+def test_matches_oracle_on_generated_forms(label, tokens, evaluation):
+    assert _assert_matches_oracle(
+        _GRAMMARS["standard"], tokens, evaluation=evaluation
+    )
+
+
+@pytest.mark.parametrize("grammar_name", sorted(_GRAMMARS))
+@pytest.mark.parametrize(
+    "label,tokens", ZIPF_FORMS, ids=[label for label, _ in ZIPF_FORMS]
+)
+def test_matches_oracle_on_zipf_forms(label, tokens, grammar_name):
+    grammar = _GRAMMARS[grammar_name]
+    compared = _assert_matches_oracle(grammar, tokens)
+    # Only the navigation-menu grammar, whose menus are not what these
+    # query forms contain, drives the oracle into its budget.
+    assert compared or grammar_name == "navmenu"
+
+
+@pytest.mark.parametrize("name", sorted(_FIGURE_3))
+def test_matches_oracle_on_figure_3_fixtures(name):
+    assert _assert_matches_oracle(
+        _GRAMMARS["standard"], _tokens_of(_FIGURE_3[name])
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_matches_oracle_on_fuzz_seeds(name):
+    assert _assert_matches_oracle(_GRAMMARS["standard"], _tokens_of(SEEDS[name]))
+
+
+def test_matches_oracle_on_fuzz_mutants():
+    compared = 0
+    for _, html in mutations(FUZZ_SEED, FUZZ_MUTANTS):
+        compared += _assert_matches_oracle(
+            _GRAMMARS["standard"], _tokens_of(html)
+        )
+    # Nearly every mutant parses to completion under the oracle too.
+    assert compared >= FUZZ_MUTANTS - 5
+
+
+class TestOracleProperties:
+    @given(zipf_soups(), st.sampled_from(sorted(_GRAMMARS)))
+    @settings(max_examples=75, deadline=None)
+    def test_matches_oracle_on_random_soups(self, tokens, grammar_name):
+        _assert_matches_oracle(_GRAMMARS[grammar_name], tokens)
+
+
+# ---------------------------------------------------------------------------
+# Where the rule applies.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grammar_name", sorted(_GRAMMARS))
+def test_round_pruning_covers_the_recursive_self_subsumption_symbols(
+    grammar_name,
+):
+    parser = BestEffortParser(_GRAMMARS[grammar_name])
+    assert set(parser._round_preferences) == _ROUND_PRUNED[grammar_name]
+    for symbol, entries in parser._round_preferences.items():
+        assert entries == parser._preferences_by_symbol[symbol]
+
+
+def test_exhaustive_parser_never_prunes_a_round():
+    """Preferences off means no round pruning either: the brute-force
+    baseline builds exactly what it built without the rule."""
+    grammar = _GRAMMARS["example_g"]
+    tokens = _tokens_of(QAM_FRAGMENT_HTML)
+    exhaustive = ExhaustiveParser(grammar)
+    result = exhaustive.parse(tokens)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exhaustive, "_round_preferences", {})
+        baseline = exhaustive.parse(tokens)
+    assert result.stats.instances_pruned == 0
+    assert result.stats.counters() == baseline.stats.counters()
+    assert [tree.pretty() for tree in result.trees] == [
+        tree.pretty() for tree in baseline.trees
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Several forms on one page.
+# ---------------------------------------------------------------------------
+
+#: batch120's generator profile, seed base and token band.
+_BATCH_PROFILE = GeneratorProfile(
+    min_conditions=3, max_conditions=7, rare_pattern_prob=0.0
+)
+_BATCH_SEED = 61_000
+_BATCH_BAND = (14, 32)
+
+#: Instance ceiling per multi-form page.  Without round pruning most of
+#: these pages stop at the 200,000-instance budget.
+MAX_PAGE_INSTANCES = 5_000
+
+
+def _form_body(html):
+    start = html.index(">", html.index("<form")) + 1
+    return html[start:html.index("</form>")]
+
+
+def _batch_form_bodies(count):
+    """The first *count* batch120 forms, as the inside of their ``<form>``."""
+    domains = sorted(DOMAINS)
+    bodies = []
+    seed = _BATCH_SEED
+    while len(bodies) < count:
+        domain = DOMAINS[domains[seed % len(domains)]]
+        html = SourceGenerator(domain, _BATCH_PROFILE).generate(seed).html
+        seed += 1
+        if _BATCH_BAND[0] <= len(_tokens_of(html)) <= _BATCH_BAND[1]:
+            bodies.append(_form_body(html))
+    return bodies
+
+
+def _page(bodies):
+    """Several forms' controls inside one whole-page ``<form>``."""
+    blocks = "".join(f"<div>{body}</div>" for body in bodies)
+    return (
+        "<html><body><form action=/search method=post>"
+        f"{blocks}</form></body></html>"
+    )
+
+
+_FORM_BODIES = _batch_form_bodies(24)
+
+
+@pytest.mark.parametrize("per_page", [3, 4])
+def test_multi_form_pages_do_not_truncate(per_page):
+    extractor = FormExtractor()
+    for start in range(0, len(_FORM_BODIES), per_page):
+        page = _page(_FORM_BODIES[start:start + per_page])
+        stats = extractor.extract_detailed(page).parse.stats
+        assert not stats.truncated, f"page at form {start} truncated"
+        assert stats.instances_created < MAX_PAGE_INSTANCES, (
+            f"page at form {start}: {stats.instances_created} instances"
+        )

@@ -1,0 +1,35 @@
+"""``repro bench``: the parse-stage benchmark reports what it measured."""
+
+from __future__ import annotations
+
+from repro import bench
+from repro.parser.parser import BestEffortParser, ParserConfig
+
+_TOKEN_SETS = bench.generate_token_sets(3)
+
+
+def test_corpus_is_the_batch120_band():
+    assert len(_TOKEN_SETS) == 3
+    for tokens in _TOKEN_SETS:
+        assert bench.BATCH_SIZE_LOW <= len(tokens) <= bench.BATCH_SIZE_HIGH
+
+
+def test_default_budget_truncates_no_form():
+    result = bench.run_parse_bench(_TOKEN_SETS, repeats=1)
+    assert result.forms == 3
+    assert result.truncated == 0
+    assert result.instances_created > 0
+    assert "truncated forms: 0" in result.describe()
+
+
+def test_truncated_forms_are_counted(monkeypatch):
+    """A wall time that stopped at a budget cap says so."""
+
+    def tiny_budget_parser(grammar):
+        return BestEffortParser(grammar, ParserConfig(max_instances=10))
+
+    monkeypatch.setattr(bench, "BestEffortParser", tiny_budget_parser)
+    result = bench.run_parse_bench(_TOKEN_SETS, repeats=2)
+    assert result.truncated == 3
+    assert len(result.rounds) == 2
+    assert "truncated forms: 3" in result.describe()
