@@ -13,7 +13,10 @@ that perf PRs optimize -- wall time of the parse stage over the standard
   so a single-shot number is close to meaningless);
 * :func:`profile_parse` runs the corpus under :mod:`cProfile` and
   renders the top cumulative-time entries, so future perf PRs start
-  from data, not guesses.
+  from data, not guesses.  cProfile charges each cyclic-GC collection
+  to whichever frame happened to allocate, so the header also reports
+  the collections and the time spent in them, counted by a
+  :data:`gc.callbacks` hook around the profiled run.
 
 ``repro bench --profile`` (or ``REPRO_BENCH_PROFILE=1``) writes the
 profile table to ``BENCH_profile.txt`` next to ``BENCH_parse.json``.
@@ -22,10 +25,12 @@ profile table to ``BENCH_profile.txt`` next to ``BENCH_parse.json``.
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import pstats
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.datasets.domains import DOMAINS
 from repro.datasets.generator import GeneratorProfile, SourceGenerator
@@ -148,24 +153,53 @@ def run_parse_bench(
     )
 
 
+class CollectorTally:
+    """A :data:`gc.callbacks` hook counting cyclic-GC collections and the
+    wall time spent in them."""
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.seconds = 0.0
+        self._started: float | None = None
+
+    def __call__(self, phase: str, info: dict[str, Any]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.collections += 1
+            self.seconds += time.perf_counter() - self._started
+            self._started = None
+
+
 def profile_parse(
     token_sets: list[list[Token]],
     top: int = PROFILE_TOP,
 ) -> str:
-    """Render the parse stage's cProfile top-``top`` cumulative table."""
+    """Render the parse stage's cProfile top-``top`` cumulative table.
+
+    The header also gives the cyclic-GC collections during the run and
+    their total time, which the table itself spreads over unrelated
+    frames.
+    """
     parser = BestEffortParser(build_standard_grammar())
     profiler = cProfile.Profile()
+    collector = CollectorTally()
+    gc.callbacks.append(collector)
     profiler.enable()
     try:
         for tokens in token_sets:
             parser.parse(tokens)
     finally:
         profiler.disable()
+        gc.callbacks.remove(collector)
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top)
     header = (
         f"# repro bench profile: {len(token_sets)} interfaces, "
         f"top {top} by cumulative time\n"
+        f"# cyclic GC: {collector.collections} collections, "
+        f"{1000.0 * collector.seconds:.2f} ms (charged by cProfile to "
+        f"whichever frame allocated)\n"
     )
     return header + buffer.getvalue()

@@ -20,7 +20,8 @@ Commands:
 * ``bench``         -- time the parse stage over the standard synthetic
   corpus (``--forms N``, ``--repeats N`` keeps the best of N rounds;
   ``--profile`` or ``REPRO_BENCH_PROFILE=1`` additionally writes a
-  cProfile top-20 cumulative table to ``BENCH_profile.txt``/``--profile-out``).
+  cProfile top-20 cumulative table to ``BENCH_profile.txt``/``--profile-out``,
+  headed by the cyclic-GC collections and their time).
 * ``grammar``       -- print the derived global grammar.
 * ``lint``          -- statically analyze the built-in grammars
   (``--grammar standard|example|navmenu|all``, default ``all``) and print
@@ -523,7 +524,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "reported (default 3)")
     bench.add_argument("--profile", action="store_true",
                        help="also run the corpus under cProfile and write "
-                            "the top-20 cumulative table "
+                            "the top-20 cumulative table, headed by the "
+                            "cyclic-GC collections and their time "
                             "(REPRO_BENCH_PROFILE=1 does the same)")
     bench.add_argument("--profile-out", metavar="PATH",
                        default="BENCH_profile.txt",

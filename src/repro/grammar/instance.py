@@ -4,8 +4,13 @@ An *instance* is one application of a grammar symbol to a region of the
 form: terminal instances wrap tokens; nonterminal instances are produced by
 a production from component instances.  Every instance knows its bounding
 box, the set of token ids it covers, its semantic payload (attribute
-labels, operator lists, assembled conditions), its children, and -- for the
-pruning machinery -- its live parents.
+labels, operator lists, assembled conditions) and its children.
+
+Links point downwards only.  The reverse edges rollback needs (which
+instances were built from this one) live in the parse's
+:class:`~repro.parser.core.ParseCore`, not on the instance, so a finished
+parse forest is acyclic and reference counting frees it as soon as the
+last result drops it -- the cyclic garbage collector never has to.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ class Instance:
         "payload",
         "token",
         "production",
-        "parents",
         "alive",
         "_descendant_uids",
         "_descendant_iid_mask",
@@ -89,7 +93,6 @@ class Instance:
         self.payload: dict[str, Any] = payload or {}
         self.token = token
         self.production = production
-        self.parents: list["Instance"] = []
         self.alive = True
         self._descendant_uids: frozenset[int] | None = None
         self._descendant_iid_mask: int | None = None

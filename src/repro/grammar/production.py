@@ -135,7 +135,9 @@ class Production:
         """Instantiate the head from *components*, or ``None`` if rejected.
 
         Checks pairwise distinctness, coverage disjointness, and the
-        declared constraint, then runs the constructor.
+        declared constraint, then runs the constructor.  The components
+        are never modified: the parse core records the reverse
+        (child -> parent) edges when it registers the result.
         """
         # Coverage disjointness via int bitmasks: parser-built instances
         # always cover at least one token, so overlapping masks subsume the
@@ -199,12 +201,9 @@ class Production:
             if payload is None:
                 return None
             bbox = _union_boxes(components)
-        instance = Instance(
+        return Instance(
             self.head, bbox, components, None, payload, None, self, mask
         )
-        for component in components:
-            component.parents.append(instance)
-        return instance
 
     def __str__(self) -> str:
         return f"{self.head} -> {' '.join(self.components)}"

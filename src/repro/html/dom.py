@@ -5,29 +5,57 @@ carry lower-cased tag names and attribute dictionaries.  The model offers the
 traversal and query helpers the rest of the system needs (``find``,
 ``find_all``, ``iter``, ``text_content``) without pretending to be a full
 W3C DOM.
+
+Ownership runs downwards: a node owns its ``children`` list, while its
+``parent`` is held as a weak reference.  A parsed document is therefore
+acyclic and freed by reference counting as soon as the last reference to
+it goes.  A node kept alive after its document has gone reads
+``parent is None``.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterator
 
 
 class Node:
     """Base class for all DOM nodes."""
 
-    __slots__ = ("parent", "children")
+    __slots__ = ("_parent", "children", "__weakref__")
 
     def __init__(self) -> None:
-        self.parent: Element | Document | None = None
+        self._parent: weakref.ref[Node] | None = None
         self.children: list[Node] = []
+
+    @property
+    def parent(self) -> "Element | Document | None":
+        """The node this one is attached to, or ``None``.
+
+        Stored as a weak reference (see the module docstring), so it
+        also reads ``None`` once the parent itself has been freed.
+        """
+        ref = self._parent
+        if ref is None:
+            return None
+        return ref()  # type: ignore[return-value]
+
+    @parent.setter
+    def parent(self, node: "Node | None") -> None:
+        self._parent = None if node is None else weakref.ref(node)
 
     # -- tree manipulation -------------------------------------------------
 
     def append_child(self, child: "Node") -> "Node":
         """Attach *child* as the last child of this node and return it."""
-        if child.parent is not None:
-            child.parent.children.remove(child)
-        child.parent = self  # type: ignore[assignment]
+        # ``parse_html`` calls this once per node: reach the weak
+        # reference directly rather than through the ``parent`` property.
+        ref = child._parent
+        if ref is not None:
+            previous = ref()
+            if previous is not None:
+                previous.children.remove(child)
+        child._parent = weakref.ref(self)
         self.children.append(child)
         return child
 
@@ -55,10 +83,13 @@ class Node:
 
     def ancestors(self) -> Iterator["Node"]:
         """Yield ancestors from parent up to the root."""
-        node = self.parent
-        while node is not None:
+        ref = self._parent
+        while ref is not None:
+            node = ref()
+            if node is None:
+                return
             yield node
-            node = node.parent
+            ref = node._parent
 
     # -- queries -----------------------------------------------------------
 

@@ -789,56 +789,73 @@ class LayoutEngine:
             return sum(widths) + (len(widths) + 1) * spacing
 
         # Inline/block container: longest segment between explicit breaks.
-        best = 0.0
-        current = 0.0
-        pending_space = False
+        best, current, _ = self._walk_inline(
+            node, is_bold_context(node), 1, depth, 0.0, 0.0, False
+        )
+        return max(best, current)
 
-        def walk(element: Element, bold: bool, walk_depth: int) -> None:
-            nonlocal best, current, pending_space
-            if walk_depth > self._depth_cap:
-                return
-            font = BOLD_FONT if bold else self.font
-            for child in element.children:
-                if isinstance(child, Text):
-                    words = child.data.split()
-                    leading_ws = child.data[:1].isspace()
-                    trailing_ws = child.data[-1:].isspace() if child.data else False
-                    for index, word in enumerate(words):
-                        if (index > 0 or leading_ws or pending_space) and current > 0:
-                            current += SPACE_WIDTH
-                        current += font.text_width(word)
-                        pending_space = False
-                    if trailing_ws:
-                        pending_space = True
-                    continue
-                if not isinstance(child, Element):
-                    continue
-                child_display = display_of(child)
-                if child_display is Display.NONE:
-                    continue
-                if child.tag == "br" or child_display not in (Display.INLINE,):
-                    # Block boundary: measure it independently.
-                    best = max(best, current)
-                    current = 0.0
-                    pending_space = False
-                    if child.tag != "br":
-                        best = max(
-                            best,
-                            self._intrinsic_width(child, depth + walk_depth + 1),
-                        )
-                    continue
-                if is_control(child) or child.tag == "img":
-                    if pending_space and current > 0:
+    def _walk_inline(
+        self,
+        element: Element,
+        bold: bool,
+        walk_depth: int,
+        depth: int,
+        best: float,
+        current: float,
+        pending_space: bool,
+    ) -> tuple[float, float, bool]:
+        """Walk *element*'s inline content for :meth:`_intrinsic_width`.
+
+        The line state -- the longest finished segment, the width of the
+        open one, and whether a space is pending -- goes in as arguments
+        and comes back as ``(best, current, pending_space)``.  A method
+        rather than a nested function over ``nonlocal`` state: a nested
+        function that calls itself holds itself in a closure cell, one
+        reference cycle per measurement.
+        """
+        if walk_depth > self._depth_cap:
+            return best, current, pending_space
+        font = BOLD_FONT if bold else self.font
+        for child in element.children:
+            if isinstance(child, Text):
+                words = child.data.split()
+                leading_ws = child.data[:1].isspace()
+                trailing_ws = child.data[-1:].isspace() if child.data else False
+                for index, word in enumerate(words):
+                    if (index > 0 or leading_ws or pending_space) and current > 0:
                         current += SPACE_WIDTH
-                        pending_space = False
-                    current += control_size(child, self.font)[0]
-                    continue
-                walk(child, bold or is_bold_context(child), walk_depth + 1)
-
-        if isinstance(node, Element):
-            walk(node, is_bold_context(node), 1)
-        best = max(best, current)
-        return best
+                    current += font.text_width(word)
+                    pending_space = False
+                if trailing_ws:
+                    pending_space = True
+                continue
+            if not isinstance(child, Element):
+                continue
+            child_display = display_of(child)
+            if child_display is Display.NONE:
+                continue
+            if child.tag == "br" or child_display not in (Display.INLINE,):
+                # Block boundary: measure it independently.
+                best = max(best, current)
+                current = 0.0
+                pending_space = False
+                if child.tag != "br":
+                    best = max(
+                        best,
+                        self._intrinsic_width(child, depth + walk_depth + 1),
+                    )
+                continue
+            if is_control(child) or child.tag == "img":
+                if pending_space and current > 0:
+                    current += SPACE_WIDTH
+                    pending_space = False
+                current += control_size(child, self.font)[0]
+                continue
+            best, current, pending_space = self._walk_inline(
+                child, bold or is_bold_context(child), walk_depth + 1, depth,
+                best, current, pending_space,
+            )
+        return best, current, pending_space
 
     # -- container boxes ----------------------------------------------------------
 

@@ -19,7 +19,13 @@ arrays and bitmasks:
   lookup;
 * preference watermarks store the highest interned id seen at the last
   enforcement pass (iid order equals registration order equals uid
-  order, so every ordering-dependent decision is unchanged).
+  order, so every ordering-dependent decision is unchanged);
+* rollback's reverse edges (child -> the instances built from it) are a
+  per-iid table on :class:`ParseCore`, filled at registration from each
+  instance's children.  Instances link downwards only, so once the core
+  is dropped a finished parse holds no reference cycle and reference
+  counting frees it; nothing here builds a self-referencing closure
+  either.
 
 Hot counters accumulate in :class:`CoreCounters` and are folded into
 ``ParseStats`` once per parse by the orchestrating
@@ -146,12 +152,14 @@ class ParseCore:
 
     Owns the parse's :class:`~repro.grammar.instance.InternTable`; every
     instance entering the parse goes through :meth:`register`, which
-    interns it and maintains the symbol pools plus (for symbols that can
-    win some preference) the per-token winner index.
+    interns it and maintains the symbol pools, the parent links rollback
+    follows, and (for symbols that can win some preference) the
+    per-token winner index.
     """
 
     __slots__ = (
         "table",
+        "parents",
         "store",
         "winner_symbols",
         "winner_index",
@@ -170,6 +178,11 @@ class ParseCore:
         winner_symbols: frozenset[str] = frozenset(),
     ):
         self.table = InternTable()
+        #: ``parents[iid]``: the registered instances built directly from
+        #: instance *iid*, in registration order (which is creation
+        #: order).  Kept here rather than on the instances so that the
+        #: forest a parse returns has no child -> parent back-references.
+        self.parents: list[list[Instance]] = []
         self.store: dict[str, list[Instance]] = {}
         #: Symbols that can win some preference: only their instances are
         #: token-indexed, so ``find_winner`` scans winner candidates only
@@ -201,6 +214,10 @@ class ParseCore:
 
     def register(self, instance: Instance) -> None:
         iid = self.table.add(instance)
+        parents = self.parents
+        parents.append([])
+        for child in instance.children:
+            parents[child.iid].append(instance)
         symbol = instance.symbol
         pool = self.store.get(symbol)
         if pool is None:
@@ -502,6 +519,36 @@ def _combos(
     if not production.bounds:
         yield from itertools.product(*pools)
         return
+    if n == 2:
+        # Binary productions dominate practical 2P grammars, so unroll
+        # the recursive expansion into two plain loops.  Position 0
+        # never carries checks (bounds require ``i < j``), and every
+        # check at position 1 anchors on position 0 -- which is what
+        # lets the table answer the whole plan with one batched
+        # ``select_rows`` matrix instead of one ``select`` call per
+        # anchor.
+        pool0, pool1 = pools
+        checks1 = bounds_by_target[1]
+        component1 = components[1]
+        if (
+            checks1
+            and pool1 is fixed_pools.get(component1)
+            and len(pool1) >= MIN_INDEXED_POOL
+        ):
+            table = tables.get(component1)
+            if table is None:
+                table = tables[component1] = GeometryTable(pool1)
+            selections = table.select_rows(checks1, pool0)
+            base = len(pool1)
+            # Per-anchor accounting stays lazy (counted when the
+            # enumeration reaches the anchor), matching the per-anchor
+            # path under early budget breaks.
+            for row, anchor in enumerate(pool0):
+                selected = selections[row]
+                counters.combos_prefiltered += base - len(selected)
+                for candidate in selected:
+                    yield (anchor, candidate)
+            return
     combo: list[Instance] = [None] * n  # type: ignore[list-item]
     # Memoization only pays off for productions with >= 3 components:
     # a pair verdict (or a selection for the same anchors) can only
@@ -545,51 +592,34 @@ def _combos(
         counters.combos_prefiltered += len(pool) - len(selected)
         return selected
 
-    def expand(position: int) -> Iterator[tuple[Instance, ...]]:
-        if position == n:
-            yield tuple(combo)
-            return
-        for candidate in candidates(position):
-            combo[position] = candidate
-            yield from expand(position + 1)
-
     if n == 2:
-        # Binary productions dominate practical 2P grammars, so unroll
-        # the recursive expansion into two plain loops.  Position 0
-        # never carries checks (bounds require ``i < j``), and every
-        # check at position 1 anchors on position 0 -- which is what
-        # lets the table answer the whole plan with one batched
-        # ``select_rows`` matrix instead of one ``select`` call per
-        # anchor.
-        pool0, pool1 = pools
-        checks1 = bounds_by_target[1]
-        component1 = components[1]
-        if (
-            checks1
-            and pool1 is fixed_pools.get(component1)
-            and len(pool1) >= MIN_INDEXED_POOL
-        ):
-            table = tables.get(component1)
-            if table is None:
-                table = tables[component1] = GeometryTable(pool1)
-            selections = table.select_rows(checks1, pool0)
-            base = len(pool1)
-            # Per-anchor accounting stays lazy (counted when the
-            # enumeration reaches the anchor), matching the per-anchor
-            # path under early budget breaks.
-            for row, anchor in enumerate(pool0):
-                selected = selections[row]
-                counters.combos_prefiltered += base - len(selected)
-                for candidate in selected:
-                    yield (anchor, candidate)
-            return
-        for anchor in pool0:
+        # The unbatched binary case: one candidate scan per anchor.
+        for anchor in pools[0]:
             combo[0] = anchor
             for candidate in candidates(1):
                 yield (anchor, candidate)
         return
+    yield from _expand(0, combo, candidates)
 
-    yield from expand(0)
+
+def _expand(
+    position: int,
+    combo: list[Instance],
+    candidates: Callable[[int], list[Instance]],
+) -> Iterator[tuple[Instance, ...]]:
+    """Depth-first expansion of *combo* from *position* onwards.
+
+    A module-level generator rather than a closure of :func:`_combos`:
+    a nested function that recurses through its own name holds itself
+    in a closure cell, a reference cycle per call that only the cyclic
+    garbage collector could free.
+    """
+    if position == len(combo):
+        yield tuple(combo)
+        return
+    for candidate in candidates(position):
+        combo[position] = candidate
+        yield from _expand(position + 1, combo, candidates)
 
 
 def passes(
@@ -700,8 +730,8 @@ def enforce(
         return
     if core.masked_enforcement:
         _enforce_masked(
-            preference, losers, winner_pool, watermark, counters, subsume,
-            core.dirty_symbols,
+            core, preference, losers, winner_pool, watermark, counters,
+            subsume,
         )
         return
     winners_by_token = core.winner_index.get(preference.winner_symbol)
@@ -721,17 +751,17 @@ def enforce(
             )
         if winner is not None:
             counters.preference_applications += 1
-            rollback(loser, counters, core.dirty_symbols)
+            rollback(core, loser, counters)
 
 
 def _enforce_masked(
+    core: ParseCore,
     preference: Preference,
     losers: list[Instance],
     winner_pool: list[Instance],
     watermark: int,
     counters: CoreCounters,
     subsume: bool,
-    dirty: set[str],
 ) -> None:
     """Vectorized preference enforcement over coverage bitmasks.
 
@@ -807,7 +837,7 @@ def _enforce_masked(
                 continue
             if criteria(candidate, loser):
                 counters.preference_applications += 1
-                rollback(loser, counters, dirty)
+                rollback(core, loser, counters)
                 break
 
 
@@ -927,15 +957,17 @@ def find_subsuming_winner(
 
 
 def rollback(
-    instance: Instance,
-    counters: CoreCounters,
-    dirty: set[str] | None = None,
+    core: ParseCore, instance: Instance, counters: CoreCounters
 ) -> None:
     """Invalidate *instance* and every live ancestor built from it.
 
-    *dirty* collects the symbols of killed instances so pool
-    snapshots know which store lists now contain tombstones.
+    Ancestors are found through the core's parent table
+    (:attr:`ParseCore.parents`).  The symbols of killed instances go to
+    ``core.dirty_symbols``, so pool snapshots know which store lists now
+    contain tombstones.
     """
+    parents = core.parents
+    dirty = core.dirty_symbols
     stack = [instance]
     first = True
     while stack:
@@ -943,11 +975,10 @@ def rollback(
         if not node.alive or node.is_terminal:
             continue
         node.alive = False
-        if dirty is not None:
-            dirty.add(node.symbol)
+        dirty.add(node.symbol)
         if first:
             counters.instances_pruned += 1
             first = False
         else:
             counters.rollback_kills += 1
-        stack.extend(parent for parent in node.parents if parent.alive)
+        stack.extend(parent for parent in parents[node.iid] if parent.alive)

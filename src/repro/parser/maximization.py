@@ -14,15 +14,27 @@ from repro.grammar.instance import Instance
 
 
 def candidate_roots(instances: list[Instance]) -> list[Instance]:
-    """Live nonterminal instances that no live parent can extend further."""
-    roots = []
-    for instance in instances:
-        if not instance.alive or instance.is_terminal:
-            continue
-        if any(parent.alive for parent in instance.parents):
-            continue
-        roots.append(instance)
-    return roots
+    """Live nonterminal instances that no live parent can extend further.
+
+    An instance is extended when it is a child of a live instance of
+    *instances*.  Instances link to their children only, so the extended
+    set is gathered in one pass over the live instances, keyed by
+    identity: hand-built instances that were never registered with a
+    parse (``iid == -1``) work as well.
+    """
+    extended = {
+        id(child)
+        for instance in instances
+        if instance.alive
+        for child in instance.children
+    }
+    return [
+        instance
+        for instance in instances
+        if instance.alive
+        and not instance.is_terminal
+        and id(instance) not in extended
+    ]
 
 
 def maximal_roots(instances: list[Instance]) -> list[Instance]:

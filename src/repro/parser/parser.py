@@ -130,15 +130,6 @@ class ParserConfig:
     max_combos_per_instance: int = 60
     evaluation: str = "seminaive"
     memoize_spatial: bool = True
-    #: Pause the cyclic garbage collector for the duration of each
-    #: ``parse()`` call.  A parse churns tens of thousands of short-lived
-    #: instances whose parent backrefs form reference cycles, so the
-    #: generational collector fires dozens of times mid-parse scanning
-    #: objects that are all still reachable; deferring collection to the
-    #: end of the call is worth ~20% wall time and changes no result.
-    #: Only toggled when the collector is enabled on entry, and always
-    #: restored on exit (including on exceptions).
-    pause_gc: bool = True
 
     def __post_init__(self) -> None:
         if self.evaluation not in EVALUATION_MODES:
@@ -397,7 +388,14 @@ class BestEffortParser:
         )
         state.masked_enforcement = masked
         counters = CoreCounters()
-        gc_paused = self.config.pause_gc and gc.isenabled()
+        # The cyclic collector is paused for the call.  Everything a parse
+        # allocates stays reachable until it returns, so a collection
+        # mid-parse can only rescan live state -- on large parses (tens
+        # of thousands of instances) about a sixth of the parse time.
+        # The finished forest is acyclic and freed by reference counting,
+        # so deferring collection changes no result.  Paused only when
+        # enabled on entry, and restored on every exit path.
+        gc_paused = gc.isenabled()
         if gc_paused:
             gc.disable()
         try:

@@ -14,10 +14,7 @@ def parent_of(*children, symbol="X"):
     box = children[0].bbox
     for child in children[1:]:
         box = box.union(child.bbox)
-    instance = Instance(symbol=symbol, bbox=box, children=tuple(children))
-    for child in children:
-        child.parents.append(instance)
-    return instance
+    return Instance(symbol=symbol, bbox=box, children=tuple(children))
 
 
 class TestConstruction:
@@ -42,6 +39,13 @@ class TestConstruction:
 
     def test_alive_by_default(self):
         assert terminal().alive
+
+    def test_links_point_downwards_only(self):
+        # Parent links live in the parse core, so a forest holds no
+        # child -> parent back-reference.
+        child = terminal(0)
+        parent_of(child)
+        assert not hasattr(child, "parents")
 
 
 class TestTreeStructure:
@@ -88,7 +92,6 @@ class TestConflicts:
         shared = terminal(0)
         first = parent_of(shared, symbol="A")
         second = Instance(symbol="B", bbox=shared.bbox, children=(shared,))
-        shared.parents.append(second)
         assert first.conflicts_with(second)
         assert second.conflicts_with(first)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.grammar.instance import Instance
 from repro.grammar.production import Production
+from repro.parser.core import ParseCore
 from tests.conftest import make_token
 
 
@@ -47,10 +48,16 @@ class TestApplication:
         assert result.production is production
 
     def test_parent_link_established(self):
+        # The link lives in the parse core: registering the result
+        # records it against the component's intern id.
         production = Production(head="X", components=("text",))
         source = text_instance(0)
+        core = ParseCore(instances_left=10, combos_left=10)
+        core.register(source)
         result = production.try_apply((source,))
-        assert result in source.parents
+        core.register(result)
+        assert core.parents[source.iid] == [result]
+        assert core.parents[result.iid] == []
 
     def test_constraint_rejects(self):
         production = Production(
@@ -106,5 +113,11 @@ class TestApplication:
             head="X", components=("text",), constraint=lambda t: False
         )
         source = text_instance(0)
-        production.try_apply((source,))
-        assert source.parents == []
+        core = ParseCore(instances_left=10, combos_left=10)
+        core.register(source)
+        assert production.try_apply((source,)) is None
+        # A rejected combination leaves its components untouched.
+        assert core.parents[source.iid] == []
+        assert source.alive
+        assert source.children == ()
+        assert source.coverage == frozenset({0})

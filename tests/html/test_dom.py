@@ -1,6 +1,9 @@
 """Tests for the DOM node model."""
 
+import gc
+
 from repro.html.dom import Comment, Document, Element, Text
+from repro.html.parser import parse_html
 
 
 def small_tree():
@@ -37,6 +40,62 @@ class TestTreeManipulation:
         parent.remove_child(child)
         assert child.parent is None
         assert parent.children == []
+
+
+class TestOwnership:
+    """Children are owned; a node's parent is held weakly."""
+
+    def test_child_outliving_document_has_no_parent(self):
+        document, form = small_tree()
+        label = form.children[0]
+        assert label.parent is form
+        del document, form
+        # Nothing holds the tree any more: reference counting freed it,
+        # and the surviving node reads as detached.
+        assert label.parent is None
+        assert list(label.ancestors()) == []
+        assert label.text_content() == "Author"
+
+    def test_append_across_live_parents_detaches(self):
+        first, first_form = small_tree()
+        second, _ = small_tree()
+        second_body = second.find("body")
+        moved = second_body.append_child(first_form)
+        assert moved.parent is second_body
+        assert first_form not in first.find("body").children
+        assert first.find("form") is None
+        assert second_body.children.count(first_form) == 1
+        tags = [n.tag for n in moved.ancestors() if isinstance(n, Element)]
+        assert tags == ["body", "html"]
+        assert list(moved.ancestors())[-1] is second
+
+    def test_append_after_old_parent_freed(self):
+        document, form = small_tree()
+        label = form.children[0]
+        del document, form
+        target = Element("div")
+        target.append_child(label)
+        assert label.parent is target
+        assert target.children == [label]
+
+    def test_parse_and_drop_leaves_no_cyclic_garbage(self):
+        html = (
+            "<html><body><form action='/s'><table><tr><td><b>Author</b>"
+            "</td><td><input name='a'></td></tr></table>"
+            "<select name='x'><option>One<option>Two</select>"
+            "</form></body></html>"
+        )
+        parse_html(html)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                document = parse_html(html)
+                assert document.find("input") is not None
+                del document
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTraversal:

@@ -4,6 +4,8 @@ import dataclasses
 
 from repro.grammar.dsl import GrammarBuilder
 from repro.grammar.preference import subsumes
+from repro.parser import parser as parser_module
+from repro.parser.core import ParseCore
 from repro.parser.parser import (
     BestEffortParser,
     ExhaustiveParser,
@@ -110,17 +112,29 @@ class TestJustInTimePruning:
         assert result.stats.preference_applications > 0
         assert result.stats.instances_pruned > 0
 
-    def test_rollback_kills_ancestors(self):
-        grammar = self.grammar_with_preference()
-        tokens = row_tokens(
-            "radiobutton", "text", "radiobutton", "text",
-        )
-        result = BestEffortParser(grammar).parse(tokens)
-        for instance in result.instances:
-            if not instance.alive:
-                # No live instance may sit above a dead one.
-                for parent in instance.parents:
-                    assert not parent.alive
+    def test_rollback_kills_ancestors(self, monkeypatch):
+        # Parent links live in the parse's core: keep a handle on it.
+        cores = []
+
+        def recording_core(*args, **kwargs):
+            core = ParseCore(*args, **kwargs)
+            cores.append(core)
+            return core
+
+        monkeypatch.setattr(parser_module, "ParseCore", recording_core)
+        parser = BestEffortParser(self.grammar_with_preference())
+        # Two units: pruning only.  Three units: rollback kills too.
+        for units in (2, 3):
+            tokens = row_tokens(*(["radiobutton", "text"] * units))
+            result = parser.parse(tokens)
+            core = cores.pop()
+            assert core.all_instances is result.instances
+            assert (result.stats.rollback_kills > 0) == (units == 3)
+            for instance in result.instances:
+                if not instance.alive:
+                    # No live instance may sit above a dead one.
+                    for parent in core.parents[instance.iid]:
+                        assert not parent.alive
 
     def test_terminals_never_killed(self):
         grammar = self.grammar_with_preference()

@@ -9,6 +9,8 @@ disjoint tokens.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +66,19 @@ def token_soups(draw):
     return tokens
 
 
+def parents_by_uid(instances):
+    """Reverse derivation edges: child uid -> the instances built from it.
+
+    Instances link to their children only; the reverse view is rebuilt
+    from the ``children`` of every instance the parse returned.
+    """
+    parents = defaultdict(list)
+    for instance in instances:
+        for child in instance.children:
+            parents[child.uid].append(instance)
+    return parents
+
+
 class TestParserInvariants:
     @given(token_soups())
     @settings(max_examples=60, deadline=None)
@@ -94,9 +109,10 @@ class TestParserInvariants:
     @settings(max_examples=40, deadline=None)
     def test_trees_alive_and_parentless(self, tokens):
         result = _PARSER.parse(tokens)
+        parents = parents_by_uid(result.instances)
         for tree in result.trees:
             assert tree.alive
-            assert not any(parent.alive for parent in tree.parents)
+            assert not any(parent.alive for parent in parents[tree.uid])
 
     @given(token_soups())
     @settings(max_examples=40, deadline=None)
@@ -111,9 +127,10 @@ class TestParserInvariants:
     @settings(max_examples=40, deadline=None)
     def test_no_live_parent_of_dead_child(self, tokens):
         result = _PARSER.parse(tokens)
+        parents = parents_by_uid(result.instances)
         for instance in result.instances:
             if not instance.alive and not instance.is_terminal:
-                assert not any(p.alive for p in instance.parents)
+                assert not any(p.alive for p in parents[instance.uid])
 
     @given(token_soups())
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import re
+
 from repro import bench
 from repro.parser.parser import BestEffortParser, ParserConfig
 
@@ -33,3 +36,31 @@ def test_truncated_forms_are_counted(monkeypatch):
     assert result.truncated == 3
     assert len(result.rounds) == 2
     assert "truncated forms: 3" in result.describe()
+
+
+def test_profile_header_reports_the_collector():
+    """cProfile hides collections inside whichever frame allocated, so
+    the header counts them through a ``gc.callbacks`` hook."""
+    hooks = list(gc.callbacks)
+    report = bench.profile_parse(_TOKEN_SETS, top=5)
+    assert gc.callbacks == hooks
+    header = report.splitlines()[:2]
+    assert header[0].startswith("# repro bench profile: 3 interfaces")
+    match = re.fullmatch(
+        r"# cyclic GC: (\d+) collections, (\d+\.\d\d) ms .*", header[1]
+    )
+    assert match is not None, header[1]
+
+
+def test_collector_tally_counts_collections():
+    tally = bench.CollectorTally()
+    gc.callbacks.append(tally)
+    try:
+        gc.collect()
+        gc.collect(0)
+    finally:
+        gc.callbacks.remove(tally)
+    assert tally.collections == 2
+    assert tally.seconds > 0.0
+    gc.collect()
+    assert tally.collections == 2
