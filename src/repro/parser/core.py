@@ -10,9 +10,11 @@ Everything here operates on *interned* instances: each parse owns an
 key on the global ``uid`` serial and object sets now runs on id-keyed
 arrays and bitmasks:
 
-* the per-token winner index holds parallel ``(iids, instances)`` list
-  pairs, so watermark skipping is a C-speed ``bisect`` over a plain int
-  list;
+* preference enforcement compares coverage masks set-at-a-time: each
+  instance's coverage is ``words`` ``uint64`` words (token *t* is bit
+  ``t % 64`` of word ``t // 64``), cached per symbol pool, and old
+  losers meet only the winners past the watermark, found with one
+  ``bisect`` over the iid-ordered pool;
 * ancestry tests use :meth:`Instance.descendant_iid_mask` -- one
   arbitrary-precision int per subtree, built with ``|=`` instead of a
   hash insert per node, tested with a shift-and-mask instead of a set
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy
@@ -57,11 +60,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     TargetCheck = tuple[int, "AxisSpec", "AxisSpec"]
     GuardTick = Callable[[str], bool]
 
-#: Cell cap for materializing the full loser x winner candidacy matrix in
-#: masked enforcement.  The uint64 intermediates cost 8 bytes per cell, so
-#: this bounds the transient allocation to ~16 MiB; larger (degenerate)
-#: pools fall back to computing one row per alive loser instead.
+#: Cell cap for materializing a whole loser x winner candidacy matrix in
+#: preference enforcement.  Each word's uint64 intermediates cost 8 bytes
+#: per cell, so this bounds the transient allocation to ~16 MiB; larger
+#: (degenerate) pools fall back to computing one row per alive loser.
 _MASKED_MATRIX_CELLS = 1 << 21
+
+_iid = attrgetter("iid")
 
 
 class CoreCounters:
@@ -80,7 +85,6 @@ class CoreCounters:
         "fixpoint_rounds",
         "combos_examined",
         "combos_prefiltered",
-        "spatial_memo_hits",
         "symbol_truncations",
         "truncated",
         "deadline_exceeded",
@@ -94,7 +98,6 @@ class CoreCounters:
         self.fixpoint_rounds = 0
         self.combos_examined = 0
         self.combos_prefiltered = 0
-        self.spatial_memo_hits = 0
         self.symbol_truncations = 0
         self.truncated = False
         self.deadline_exceeded = False
@@ -109,38 +112,6 @@ class SymbolBudget:
         self.combos_left = combos_left
 
 
-class SpatialMemo:
-    """Memoized spatial evaluations for one symbol's fix-point.
-
-    Tables are keyed on interned identities (instance ``iid`` ints plus
-    the ``id`` of the production-owned check tuple, which is alive for the
-    grammar's lifetime):
-
-    * ``pairs`` -- ``(id(check), anchor_iid, candidate_iid) -> bool``
-      verdicts of individual axis-envelope predicates (pools scanned
-      without a table);
-    * ``selections`` -- ``(id(checks), *anchor_iids) -> list`` full
-      :meth:`GeometryTable.select` results for one position's check tuple
-      against one anchor binding (the indexed pool is frozen for the
-      whole fix-point, so the selection is stable).
-
-    Scoped to one symbol's fix-point: component pools are frozen for its
-    duration, and discarding the memo afterwards keeps ``id()``-based keys
-    safe from address reuse across symbols.
-    """
-
-    __slots__ = ("pairs", "selections")
-
-    def __init__(self) -> None:
-        self.pairs: dict[tuple[int, int, int], bool] = {}
-        self.selections: dict[tuple[int, ...], list[Instance]] = {}
-
-
-#: A winner-index bucket: parallel ``(iids, instances)`` lists in
-#: registration order, so the watermark prefix is skipped with one
-#: ``bisect_left`` over the plain int list.
-Bucket = tuple[list[int], list[Instance]]
-
 #: One enforceable preference: ``(ordinal, preference, subsume?)``.  The
 #: ordinal keys the enforcement watermark; the flag selects the
 #: ``subsumes`` fast path.
@@ -152,18 +123,18 @@ class ParseCore:
 
     Owns the parse's :class:`~repro.grammar.instance.InternTable`; every
     instance entering the parse goes through :meth:`register`, which
-    interns it and maintains the symbol pools, the parent links rollback
-    follows, and (for symbols that can win some preference) the
-    per-token winner index.
+    interns it and maintains the symbol pools and the parent links
+    rollback follows.  *words* is the width of a coverage mask in
+    ``uint64`` words: the largest token id of the parse, divided by 64,
+    plus one.
     """
 
     __slots__ = (
         "table",
         "parents",
         "store",
-        "winner_symbols",
-        "winner_index",
-        "masked_enforcement",
+        "words",
+        "mask_rows",
         "preference_watermark",
         "dirty_symbols",
         "instances_left",
@@ -171,12 +142,7 @@ class ParseCore:
         "compacted_at_kills",
     )
 
-    def __init__(
-        self,
-        instances_left: int,
-        combos_left: int,
-        winner_symbols: frozenset[str] = frozenset(),
-    ):
+    def __init__(self, instances_left: int, combos_left: int, words: int = 1):
         self.table = InternTable()
         #: ``parents[iid]``: the registered instances built directly from
         #: instance *iid*, in registration order (which is creation
@@ -184,15 +150,12 @@ class ParseCore:
         #: forest a parse returns has no child -> parent back-references.
         self.parents: list[list[Instance]] = []
         self.store: dict[str, list[Instance]] = {}
-        #: Symbols that can win some preference: only their instances are
-        #: token-indexed, so ``find_winner`` scans winner candidates only
-        #: and ``register`` skips the reverse index for everything else.
-        self.winner_symbols = winner_symbols
-        self.winner_index: dict[str, dict[int, Bucket]] = {}
-        #: When True every preference is enforced through vectorized
-        #: coverage-mask comparisons and no token index is maintained
-        #: (machine-word-sized masks only: every token id below 64).
-        self.masked_enforcement = False
+        self.words = words
+        #: ``mask_rows[symbol]``: the coverage masks of a prefix of
+        #: ``store[symbol]``, one ``(words,)`` row per instance (see
+        #: :func:`pool_masks`).  Pools only grow until :meth:`compact`
+        #: rewrites them, which drops their rows.
+        self.mask_rows: dict[str, numpy.ndarray] = {}
         #: Per-preference enforcement watermark: the highest interned id
         #: registered when the preference was last enforced.  Winner/loser
         #: pairs that both predate the watermark were already tested then
@@ -213,7 +176,7 @@ class ParseCore:
         return self.table.instances
 
     def register(self, instance: Instance) -> None:
-        iid = self.table.add(instance)
+        self.table.add(instance)
         parents = self.parents
         parents.append([])
         for child in instance.children:
@@ -224,53 +187,30 @@ class ParseCore:
             self.store[symbol] = [instance]
         else:
             pool.append(instance)
-        if symbol in self.winner_symbols:
-            index = self.winner_index.get(symbol)
-            if index is None:
-                index = self.winner_index[symbol] = {}
-            mask = instance.coverage_mask
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                token_id = low.bit_length() - 1
-                bucket = index.get(token_id)
-                if bucket is None:
-                    index[token_id] = ([iid], [instance])
-                else:
-                    bucket[0].append(iid)
-                    bucket[1].append(instance)
 
     def compact(self) -> None:
-        """Drop dead instances from the lookup lists.
+        """Drop dead instances from the store pools.
 
         The intern table keeps everything (maximization and the result
-        object need the dead for accounting); only the ``store`` pools and
-        the winner token index -- the structures preference enforcement
-        and pool snapshots iterate -- are compacted.  Relative order is
-        preserved, so enumeration order and winner selection are
-        unaffected.
+        object need the dead for accounting); only the ``store`` pools --
+        what preference enforcement and pool snapshots iterate -- are
+        compacted, together with the mask rows cached for them.  Only
+        dirty pools are rewritten, in place and in relative order, so
+        enumeration order and winner selection are unaffected.
         """
-        for instances in self.store.values():
-            if any(not instance.alive for instance in instances):
-                instances[:] = [i for i in instances if i.alive]
-        for index in self.winner_index.values():
-            for token_id in list(index):
-                iids, instances = index[token_id]
-                if any(not instance.alive for instance in instances):
-                    survivors = [i for i in instances if i.alive]
-                    index[token_id] = (
-                        [inst.iid for inst in survivors],
-                        survivors,
-                    )
+        for symbol in self.dirty_symbols:
+            pool = self.store[symbol]
+            pool[:] = [instance for instance in pool if instance.alive]
+            self.mask_rows.pop(symbol, None)
         self.dirty_symbols.clear()
 
 
 def maybe_compact(core: ParseCore, counters: CoreCounters) -> None:
-    """Compact the lookup lists once enough instances have died.
+    """Compact the store pools once enough instances have died.
 
     Amortized: a sweep costs O(live + dead) and only runs after the dead
-    amount to a quarter of everything registered, so :func:`find_winner`
-    and pool snapshots never scan long runs of tombstones.
+    amount to a quarter of everything registered, so enforcement's mask
+    matrices and pool snapshots never drag long runs of tombstones.
     """
     kills = counters.instances_pruned + counters.rollback_kills
     dead_since = kills - core.compacted_at_kills
@@ -289,7 +229,6 @@ def instantiate_symbol(
     cap: SymbolBudget,
     counters: CoreCounters,
     tick: "GuardTick | None",
-    memoize: bool,
     round_preferences: tuple[PreferenceEntry, ...],
 ) -> int:
     """Run one symbol's semi-naive fix-point; return #created.
@@ -311,8 +250,9 @@ def instantiate_symbol(
     # head-symbol instances (and their ancestors, which at this point
     # are head-symbol instances too), so snapshot (and index) them once.
     # A store pool with no tombstones is aliased outright -- it cannot
-    # mutate until this fix-point ends (only the head symbol's pool
-    # grows, and compaction runs between symbols, never during one).
+    # mutate until this fix-point ends: only the head symbol's pool
+    # grows, and the compaction a killing round may trigger rewrites
+    # only pools holding tombstones, which an aliased pool never gets.
     fixed_pools: dict[str, list[Instance]] = {}
     for production in productions:
         for component in production.components:
@@ -327,7 +267,6 @@ def instantiate_symbol(
                 else:
                     fixed_pools[component] = pool
     tables: dict[str, GeometryTable] = {}
-    memo = SpatialMemo() if memoize else None
     recursive = [p for p in productions if symbol in p.components]
     # The head pool grows during the fix-point, so it is always a copy.
     head_store = store.get(symbol, [])
@@ -359,8 +298,8 @@ def instantiate_symbol(
                     break
                 new_instances.extend(
                     _apply_seminaive(
-                        production, pools, fixed_pools, tables, memo, core,
-                        cap, counters, remaining, tick,
+                        production, pools, fixed_pools, tables, core, cap,
+                        counters, remaining, tick,
                     )
                 )
                 if (
@@ -440,7 +379,6 @@ def _apply_seminaive(
     pools: list[list[Instance]],
     fixed_pools: dict[str, list[Instance]],
     tables: dict[str, GeometryTable],
-    memo: SpatialMemo | None,
     core: ParseCore,
     cap: SymbolBudget,
     counters: CoreCounters,
@@ -464,9 +402,7 @@ def _apply_seminaive(
     core_left = core.combos_left
     examined = 0
     try:
-        for combo in _combos(
-            production, pools, fixed_pools, tables, memo, counters
-        ):
+        for combo in _combos(production, pools, fixed_pools, tables, counters):
             if budget_left <= 0 or cap_left <= 0 or core_left <= 0:
                 counters.truncated = True
                 break
@@ -494,7 +430,6 @@ def _combos(
     pools: list[list[Instance]],
     fixed_pools: dict[str, list[Instance]],
     tables: dict[str, GeometryTable],
-    memo: SpatialMemo | None,
     counters: CoreCounters,
 ) -> Iterator[tuple[Instance, ...]]:
     """Enumerate candidate combinations, pre-filtered by the
@@ -504,10 +439,6 @@ def _combos(
     whether produced by a plain filtered scan or a vectorized
     :meth:`GeometryTable.select`, so the combination order matches the
     naive cartesian product with bound-violating combinations removed.
-    With *memo* set, predicate verdicts and table selections already
-    evaluated this fix-point are reused instead of recomputed
-    (``CoreCounters.spatial_memo_hits``); the selected candidates are
-    identical either way.
     """
     components = production.components
     bounds_by_target = production.bounds_by_target
@@ -550,14 +481,6 @@ def _combos(
                     yield (anchor, candidate)
             return
     combo: list[Instance] = [None] * n  # type: ignore[list-item]
-    # Memoization only pays off for productions with >= 3 components:
-    # a pair verdict (or a selection for the same anchors) can only
-    # recur when a *third* position varies between two visits; with
-    # two components each anchor is visited exactly once per plan, so
-    # both tables would be pure dict overhead (measured as a ~10%
-    # slowdown on the standard grammar, where 2-component productions
-    # dominate and contribute zero memo hits).
-    pair_memo = memo if n >= 3 else None
 
     def candidates(position: int) -> list[Instance]:
         pool = pools[position]
@@ -572,23 +495,9 @@ def _combos(
             table = tables.get(component)
             if table is None:
                 table = tables[component] = GeometryTable(pool)
-            if pair_memo is not None:
-                selection_key = (id(checks),) + tuple(
-                    combo[check[0]].iid for check in checks
-                )
-                selected = pair_memo.selections.get(selection_key)
-                if selected is None:
-                    selected = table.select(checks, combo)
-                    pair_memo.selections[selection_key] = selected
-                else:
-                    counters.spatial_memo_hits += 1
-            else:
-                selected = table.select(checks, combo)
+            selected = table.select(checks, combo)
         else:
-            selected = [
-                cand for cand in pool
-                if passes(cand, checks, combo, pair_memo, counters)
-            ]
+            selected = [cand for cand in pool if passes(cand, checks, combo)]
         counters.combos_prefiltered += len(pool) - len(selected)
         return selected
 
@@ -626,34 +535,11 @@ def passes(
     candidate: Instance,
     checks: "tuple[TargetCheck, ...]",
     combo: list[Instance],
-    memo: SpatialMemo | None,
-    counters: CoreCounters,
 ) -> bool:
     """Does *candidate* satisfy every axis-envelope check of *checks*?"""
     box = candidate.bbox
-    for check in checks:
-        anchor, h_spec, v_spec = check
-        anchor_inst = combo[anchor]
-        if memo is not None:
-            # Checks are tuples owned by the (frozen) production and
-            # instances are interned by iid, so identity keys are
-            # stable for the whole fix-point this memo spans.
-            pair_key = (id(check), anchor_inst.iid, candidate.iid)
-            verdict = memo.pairs.get(pair_key)
-            if verdict is not None:
-                counters.spatial_memo_hits += 1
-                if verdict:
-                    continue
-                return False
-            other = anchor_inst.bbox
-            verdict = h_allows(h_spec, other, box) and v_allows(
-                v_spec, other, box
-            )
-            memo.pairs[pair_key] = verdict
-            if not verdict:
-                return False
-            continue
-        other = anchor_inst.bbox
+    for anchor, h_spec, v_spec in checks:
+        other = combo[anchor].bbox
         if not h_allows(h_spec, other, box):
             return False
         if not v_allows(v_spec, other, box):
@@ -679,11 +565,21 @@ def prune_round(
     mid-fix-point enforces no preference ahead of its schedule slot;
     the end-of-symbol pass still runs, and the watermark leaves it
     almost nothing to do.
+
+    A killing round may compact the pools (:func:`maybe_compact`), so a
+    deep recursive fix-point does not drag tens of thousands of
+    tombstones through every later round's mask matrices.  That is safe
+    mid-fix-point: only head-symbol instances die here, so the pools
+    :func:`instantiate_symbol` aliases as frozen stay tombstone-free and
+    are never rewritten.
     """
     kills = counters.instances_pruned + counters.rollback_kills
     for ordinal, preference, subsume in preferences:
         enforce(core, ordinal, preference, subsume, counters)
-    return counters.instances_pruned + counters.rollback_kills > kills
+    if counters.instances_pruned + counters.rollback_kills == kills:
+        return False
+    maybe_compact(core, counters)
+    return True
 
 
 def enforce(
@@ -695,17 +591,16 @@ def enforce(
 ) -> None:
     """Enforce one preference: invalidate losers, roll back ancestors.
 
-    Winner candidates come from the incrementally-maintained
-    per-winner-symbol token index (buckets in registration order), so
-    each loser scans only same-token *winner-symbol* instances instead
-    of every instance sharing a token.
-
-    Enforcement is additionally *incremental* across passes: a
-    winner/loser pair where both instances predate this preference's
-    watermark was already tested the last time the preference ran, and
-    a no-win verdict is permanent (predicates are pure, ancestry and
-    coverage are immutable, and dead instances never resurrect) -- so
-    old losers are only retested against winners registered since.
+    Incremental across passes: a winner/loser pair where both instances
+    predate this preference's watermark was already tested the last
+    time the preference ran, and a no-win verdict is permanent
+    (predicates are pure, ancestry and coverage are immutable, and dead
+    instances never resurrect).  Pools are iid-ordered, so the old
+    losers are a prefix of the alive losers and the winners registered
+    since the watermark a suffix of the winner pool, each found with
+    one ``bisect``: old losers meet only that suffix, new losers meet
+    the whole pool.  Losers are scanned in pool order, old ones first,
+    as one pass over the pool would.
     """
     watermark = core.preference_watermark.get(pref_index, -1)
     core.preference_watermark[pref_index] = len(core.table) - 1
@@ -715,115 +610,82 @@ def enforce(
     winner_pool = core.store.get(preference.winner_symbol)
     if not winner_pool:
         return
-    if (
-        0 <= watermark
-        and loser_pool[-1].iid <= watermark
-        and winner_pool[-1].iid <= watermark
-    ):
-        # Neither pool has grown since the last pass (pools are
-        # iid-ordered, so the tail iid bounds everything): every
-        # surviving pair was already tested then, and no-win verdicts
-        # are permanent.
+    if loser_pool[-1].iid <= watermark and winner_pool[-1].iid <= watermark:
+        # Neither pool has grown since the last pass (the tail iid
+        # bounds everything): every surviving pair was already tested.
         return
+    # Dead losers are dropped before any mask is built: tombstone rows
+    # would only widen every matrix below.
     losers = [inst for inst in loser_pool if inst.alive]
     if not losers:
         return
-    if core.masked_enforcement:
-        _enforce_masked(
-            core, preference, losers, winner_pool, watermark, counters,
-            subsume,
+    winner_masks = pool_masks(core, preference.winner_symbol, winner_pool)
+    split = bisect_left(losers, watermark + 1, key=_iid)
+    fresh = bisect_left(winner_pool, watermark + 1, key=_iid)
+    if split and fresh < len(winner_pool):
+        _kill_losers(
+            core, preference, subsume, losers[:split], winner_pool,
+            winner_masks, fresh, counters,
         )
-        return
-    winners_by_token = core.winner_index.get(preference.winner_symbol)
-    if not winners_by_token:
-        return
-    for loser in losers:
-        if not loser.alive:
-            continue  # may have died from an earlier rollback this pass
-        min_iid = watermark + 1 if loser.iid <= watermark else 0
-        if subsume:
-            winner = find_subsuming_winner(
-                preference, loser, winners_by_token, min_iid
-            )
-        else:
-            winner = find_winner(
-                preference, loser, winners_by_token, min_iid
-            )
-        if winner is not None:
-            counters.preference_applications += 1
-            rollback(core, loser, counters)
+    if split < len(losers):
+        _kill_losers(
+            core, preference, subsume, losers[split:], winner_pool,
+            winner_masks, 0, counters,
+        )
 
 
-def _enforce_masked(
+def _kill_losers(
     core: ParseCore,
     preference: Preference,
+    subsume: bool,
     losers: list[Instance],
     winner_pool: list[Instance],
-    watermark: int,
+    winner_masks: numpy.ndarray,
+    start: int,
     counters: CoreCounters,
-    subsume: bool,
 ) -> None:
-    """Vectorized preference enforcement over coverage bitmasks.
+    """Roll back every loser a live winner in ``winner_pool[start:]`` beats.
 
-    When every token id fits a ``uint64`` bit no per-token winner index
-    exists at all; instead the loser x winner candidacy relation is evaluated as one
-    numpy boolean matrix over the ``uint64`` coverage masks -- strict
-    superset for ``subsumes`` preferences (the condition itself),
-    plain intersection for everything else (the shared-token join the
-    token index used to provide).  A kill only depends on *whether*
-    some candidate beats the loser, not on which one is found first,
-    so scanning candidates in intern order instead of bucket order
-    leaves the kill sequence -- and every counter -- identical to the
-    winner-index path's.
+    The loser x winner candidacy relation is one numpy boolean matrix
+    over coverage masks (:func:`candidacy`), with the winners' rows
+    (*winner_masks*, aligned with *winner_pool*) taken from the pool's
+    cache.  A kill only depends on *whether* some candidate beats the
+    loser, so candidates are scanned in pool order and the first that
+    passes the ancestry test and the rule's own predicates decides.
 
-    Rows are only decoded for losers still alive when the scan
-    reaches them: each kill rolls back whole derivation chains, so
-    most rows die before their turn and their (potentially dense)
-    ancestor-chain hits are never materialized.  The full loser x
-    winner matrix is only materialized while it stays small;
-    degenerate forms (hundreds of thousands of instances in one
-    pool) instead compute each alive loser's hit row on demand,
-    keeping peak memory at O(winners) regardless of pool size.
+    Rows are only decoded for losers still alive when the scan reaches
+    them: each kill rolls back whole derivation chains, so most rows die
+    before their turn and their (potentially dense) ancestor-chain hits
+    are never materialized.  The matrix is only built while it stays
+    small; degenerate pools (hundreds of thousands of instances)
+    compute each alive loser's row on demand instead, keeping peak
+    memory at O(winners) regardless of pool size.
     """
-    winner_masks = numpy.fromiter(
-        (candidate.coverage_mask for candidate in winner_pool),
-        dtype=numpy.uint64,
-        count=len(winner_pool),
-    )
+    winner_masks = winner_masks[start:]
+    words = core.words
     hits = None
-    if len(winner_pool) * len(losers) <= _MASKED_MATRIX_CELLS:
-        loser_masks = numpy.fromiter(
-            (loser.coverage_mask for loser in losers),
-            dtype=numpy.uint64,
-            count=len(losers),
-        ).reshape(-1, 1)
-        if subsume:
-            hits = (winner_masks & loser_masks) == loser_masks
-            hits &= winner_masks != loser_masks
-        else:
-            hits = (winner_masks & loser_masks) != 0
-    uint64 = numpy.uint64
+    if len(losers) * len(winner_masks) <= _MASKED_MATRIX_CELLS:
+        hits = candidacy(coverage_masks(losers, words), winner_masks, subsume)
     condition = preference.condition
     criteria = preference.criteria
     for row, loser in enumerate(losers):
         if not loser.alive:  # may have died from an earlier rollback
             continue
-        min_iid = watermark + 1 if loser.iid <= watermark else 0
-        loser_iid = loser.iid
-        loser_descendants = 0  # descendant-iid mask, decoded lazily
         if hits is not None:
             row_hits = hits[row]
         else:
-            mask = uint64(loser.coverage_mask)
-            if subsume:
-                row_hits = (winner_masks & mask) == mask
-                row_hits &= winner_masks != mask
-            else:
-                row_hits = (winner_masks & mask) != 0
+            row_hits = candidacy(
+                coverage_masks([loser], words), winner_masks, subsume
+            )[0]
+        loser_iid = loser.iid
+        loser_mask = loser.coverage_mask
+        loser_descendants = 0  # descendant-iid mask, decoded lazily
         for col in row_hits.nonzero()[0].tolist():
-            candidate = winner_pool[col]
-            if candidate.iid < min_iid or not candidate.alive:
+            candidate = winner_pool[start + col]
+            if not candidate.alive:
                 continue
+            if subsume and candidate.coverage_mask == loser_mask:
+                continue  # equal coverage is no strict superset
             if loser_descendants == 0:
                 loser_descendants = loser.descendant_iid_mask()
             if (loser_descendants >> candidate.iid) & 1:
@@ -841,119 +703,75 @@ def _enforce_masked(
                 break
 
 
-def find_winner(
-    preference: Preference,
-    loser: Instance,
-    winners_by_token: dict[int, Bucket],
-    min_iid: int = 0,
-) -> Instance | None:
-    """A live winner-type instance that beats *loser*, if any.
+def coverage_masks(instances: list[Instance], words: int) -> numpy.ndarray:
+    """The coverage masks of *instances* as an ``(n, words)`` uint64 array.
 
-    *winners_by_token* holds only winner-symbol instances (indexed by
-    covered token, in registration order), so sharing a bucket already
-    implies sharing a token with *loser*.  Candidates with
-    ``iid < min_iid`` are skipped -- the caller guarantees those pairs
-    were tested (and lost) on an earlier enforcement pass.
+    Word *k* of a row holds the bits of token ids ``64 * k`` to
+    ``64 * k + 63``.
     """
-    seen: set[int] = set()
-    loser_descendants = 0  # descendant-iid mask, decoded lazily
-    loser_iid = loser.iid
-    condition = preference.condition
-    criteria = preference.criteria
-    for token_id in loser.coverage:
-        bucket = winners_by_token.get(token_id)
-        if bucket is None:
-            continue
-        iids, instances = bucket
-        if not iids:
-            continue
-        start = 0
-        if min_iid > 0:
-            # Buckets are iid-sorted; jump over the already-tested
-            # prefix instead of filtering it one element at a time.
-            start = bisect_left(iids, min_iid)
-        for position in range(start, len(instances)):
-            candidate = instances[position]
-            candidate_iid = iids[position]
-            if candidate.alive and candidate_iid not in seen:
-                seen.add(candidate_iid)
-                # Inlined Preference.applies(): symbols are fixed by
-                # the index and the shared token by the bucket join,
-                # leaving the no-composition (ancestry) test -- with
-                # the loser's descendant mask hoisted out of the pair
-                # loop -- and the rule's own predicates.
-                if loser_descendants == 0:
-                    loser_descendants = loser.descendant_iid_mask()
-                if (loser_descendants >> candidate_iid) & 1:
-                    continue  # the loser derives from the candidate
-                candidate_descendants = candidate._descendant_iid_mask
-                if candidate_descendants is None:
-                    candidate_descendants = candidate.descendant_iid_mask()
-                if (candidate_descendants >> loser_iid) & 1:
-                    continue  # the candidate derives from the loser
-                if condition(candidate, loser) and criteria(
-                    candidate, loser
-                ):
-                    return candidate
-    return None
+    count = len(instances)
+    if words == 1:
+        # Every id is below 64: the mask is already one word.
+        return numpy.fromiter(
+            (instance.coverage_mask for instance in instances),
+            dtype=numpy.uint64,
+            count=count,
+        ).reshape(count, 1)
+    # One little-endian byte string per mask: on 386-token masks (7
+    # words) five times faster than one shift-and-mask pass per word.
+    size = 8 * words
+    data = b"".join(
+        [instance.coverage_mask.to_bytes(size, "little") for instance in instances]
+    )
+    return numpy.frombuffer(data, dtype="<u8").reshape(count, words)
 
 
-def find_subsuming_winner(
-    preference: Preference,
-    loser: Instance,
-    winners_by_token: dict[int, Bucket],
-    min_iid: int = 0,
-) -> Instance | None:
-    """:func:`find_winner` specialized for ``condition is subsumes``.
+def pool_masks(
+    core: ParseCore, symbol: str, pool: list[Instance]
+) -> numpy.ndarray:
+    """:func:`coverage_masks` of *pool*, which is ``core.store[symbol]``.
 
-    A subsuming winner covers *every* token the loser covers, so it
-    appears in every one of the loser's buckets -- scanning just the
-    smallest such bucket examines every possible winner exactly once
-    (no dedup set needed), and an empty bucket proves no winner
-    exists.  The subsumption condition itself runs as two int-mask
-    operations instead of a frozenset comparison.  Which winner is
-    *returned* may differ from the generic scan when several apply;
-    enforcement only uses the winner's existence, so the kill set is
-    identical.
+    Cached in ``core.mask_rows`` and extended by the pool's new tail
+    only: store pools are append-only until :meth:`ParseCore.compact`
+    rewrites one, and it drops that pool's rows.
     """
-    bucket: Bucket | None = None
-    for token_id in loser.coverage:
-        candidates = winners_by_token.get(token_id)
-        if candidates is None or not candidates[0]:
-            return None
-        if bucket is None or len(candidates[0]) < len(bucket[0]):
-            bucket = candidates
-    if bucket is None:
-        return None
-    iids, instances = bucket
-    start = 0
-    if min_iid > 0:
-        # iid-sorted bucket: skip the watermark-cleared prefix outright.
-        start = bisect_left(iids, min_iid)
-    loser_mask = loser.coverage_mask
-    loser_iid = loser.iid
-    loser_descendants = 0  # descendant-iid mask, decoded lazily
-    criteria = preference.criteria
-    for position in range(start, len(instances)):
-        candidate = instances[position]
-        candidate_mask = candidate.coverage_mask
-        if (
-            candidate_mask & loser_mask == loser_mask
-            and candidate_mask != loser_mask
-            and candidate.alive
-        ):
-            if loser_descendants == 0:
-                loser_descendants = loser.descendant_iid_mask()
-            if (loser_descendants >> candidate.iid) & 1:
-                continue
-            candidate_descendants = candidate._descendant_iid_mask
-            if candidate_descendants is None:
-                candidate_descendants = candidate.descendant_iid_mask()
-            if (candidate_descendants >> loser_iid) & 1:
-                continue
-            if criteria(candidate, loser):
-                return candidate
-    return None
+    rows = core.mask_rows.get(symbol)
+    if rows is None:
+        rows = core.mask_rows[symbol] = coverage_masks(pool, core.words)
+    elif len(rows) < len(pool):
+        tail = coverage_masks(pool[len(rows):], core.words)
+        rows = core.mask_rows[symbol] = numpy.concatenate((rows, tail))
+    return rows
+
+
+def candidacy(
+    losers: numpy.ndarray, winners: numpy.ndarray, subsume: bool
+) -> numpy.ndarray:
+    """``hits[i, j]``: may winner *j* beat loser *i*, by coverage alone?
+
+    Evaluated word by word over ``(n, words)`` mask arrays.  A
+    ``subsumes`` preference needs a superset, ``w & l == l`` in every
+    word; the scan drops equal masks, which leaves the strict superset
+    the condition asks for.  Every other preference needs a shared
+    token, the framework's conflict requirement: ``w & l != 0`` in some
+    word.
+    """
+    hits: numpy.ndarray | None = None
+    for word in range(losers.shape[1]):
+        winner_word = winners[:, word]
+        loser_word = losers[:, word, numpy.newaxis]
+        if subsume:
+            word_hits = (winner_word & loser_word) == loser_word
+        else:
+            word_hits = (winner_word & loser_word) != 0
+        if hits is None:
+            hits = word_hits
+        elif subsume:
+            hits &= word_hits
+        else:
+            hits |= word_hits
+    assert hits is not None
+    return hits
 
 
 def rollback(

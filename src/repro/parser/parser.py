@@ -113,23 +113,12 @@ class ParserConfig:
             scheduled after it.
         evaluation: Fix-point strategy, ``"seminaive"`` (default) or
             ``"naive"`` (see module docstring).
-        memoize_spatial: Memoize per-production spatial-constraint
-            evaluations during a symbol's fix-point (semi-naive mode
-            only).  The same ``(check, anchor, candidate)`` predicate and
-            the same geometry-table selection recur across fix-point
-            rounds and pool plans; memo keys intern the instances by
-            dense id so each predicate is evaluated at most once per
-            fix-point.  Pure memoization: verdicts are deterministic, so
-            candidate lists, combination order, and all ``combos_*``
-            counters are identical with it on or off -- hits are reported
-            separately in :attr:`ParseStats.spatial_memo_hits`.
     """
 
     enable_preferences: bool = True
     max_instances: int = 200_000
     max_combos_per_instance: int = 60
     evaluation: str = "seminaive"
-    memoize_spatial: bool = True
 
     def __post_init__(self) -> None:
         if self.evaluation not in EVALUATION_MODES:
@@ -158,11 +147,7 @@ class ParseStats:
     #: Candidate components rejected by declarative spatial bounds before
     #: any combination containing them was examined (semi-naive mode only).
     combos_prefiltered: int = 0
-    #: Spatial predicate/table-selection evaluations answered from the
-    #: per-symbol memo instead of being recomputed.  Reported separately
-    #: from the ``combos_*`` counters on purpose: memoization skips
-    #: *re-evaluation*, never enumeration, so the combo-reduction baseline
-    #: stays comparable with memoization on or off.
+    #: Always 0 since the spatial memo went; cached stats and perfbench read it.
     spatial_memo_hits: int = 0
     #: Symbols whose fix-point exhausted its per-symbol combination budget.
     symbol_truncations: int = 0
@@ -208,7 +193,6 @@ class ParseStats:
         self.fixpoint_rounds = counters.fixpoint_rounds
         self.combos_examined = counters.combos_examined
         self.combos_prefiltered = counters.combos_prefiltered
-        self.spatial_memo_hits = counters.spatial_memo_hits
         self.symbol_truncations = counters.symbol_truncations
         self.truncated = self.truncated or counters.truncated
         self.deadline_exceeded = (
@@ -301,9 +285,6 @@ class BestEffortParser:
         self.grammar = grammar
         self.config = config or ParserConfig()
         self.schedule: Schedule = cached_schedule(grammar)
-        self._winner_symbols = frozenset(
-            preference.winner_symbol for preference in grammar.preferences
-        )
         #: Stable per-grammar preference ordinals key the core's
         #: enforcement watermarks.
         ordinals = {
@@ -314,8 +295,8 @@ class BestEffortParser:
         #: preference; the schedule's symbol set is fixed, so snapshot per
         #: symbol once: ``(ordinal, preference, subsume fast path?)``.
         #: Preferences whose condition is the well-known ``subsumes``
-        #: predicate get the dedicated enforcement fast path (see
-        #: :func:`repro.parser.core.find_subsuming_winner`).
+        #: predicate test it as the coverage-mask superset itself (see
+        #: :func:`repro.parser.core.candidacy`).
         self._preferences_by_symbol: dict[
             str, tuple[PreferenceEntry, ...]
         ] = {
@@ -371,22 +352,11 @@ class BestEffortParser:
         combos_budget = self.config.max_combos
         if guard is not None and guard.limits.max_combos is not None:
             combos_budget = min(combos_budget, guard.limits.max_combos)
-        # Mask-based preference enforcement needs every coverage mask to
-        # fit a numpy ``uint64``, i.e. all token ids below 64 -- true for
-        # every realistic form, checked explicitly so hand-built token
-        # streams with large ids fall back to the per-token winner index.
-        # When it applies, the per-token winner index is never built at
-        # all (``winner_symbols`` empty), which removes one index insert
-        # per covered token per winner-symbol instance from the hot path.
-        masked = all(token.id < 64 for token in tokens)
         state = ParseCore(
             instances_left=self.config.max_instances,
             combos_left=combos_budget,
-            winner_symbols=(
-                frozenset() if masked else self._winner_symbols
-            ),
+            words=max((token.id for token in tokens), default=0) // 64 + 1,
         )
-        state.masked_enforcement = masked
         counters = CoreCounters()
         # The cyclic collector is paused for the call.  Everything a parse
         # allocates stays reachable until it returns, so a collection
@@ -478,7 +448,6 @@ class BestEffortParser:
                 cap,
                 counters,
                 guard.tick if guard is not None else None,
-                self.config.memoize_spatial,
                 round_preferences,
             )
         if cap.combos_left <= 0:

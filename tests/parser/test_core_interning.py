@@ -1,12 +1,12 @@
 """The interned-id parser core: invariants on every enforcement path.
 
 ``repro.parser.core`` keeps its bookkeeping in dense interned ids
-(``Instance.iid``) -- id-keyed bucket lists and subtree bitmasks instead
-of object sets.  That move must be invisible: this suite pins the
+(``Instance.iid``) -- iid-ordered pools and subtree bitmasks instead of
+object sets.  That move must be invisible: this suite pins the
 interning invariants the core relies on (dense ids, registration order,
-mask/set agreement) under masked enforcement, its row-at-a-time
-fallback, and the per-token winner index, and checks that the three
-paths and naive evaluation give one answer.
+mask/set agreement) under 1-word coverage masks, 2-word masks (every
+``token.id`` shifted by 64), and the row-at-a-time fallback, and checks
+that the three paths and naive evaluation give one answer.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def test_intern_table_rejects_double_interning():
 
 
 def test_equivalence_net_on_form():
-    """naive / masked matrix / masked rows / winner index: one answer.
+    """naive / 1-word matrix / 2-word matrix / row fallback: one answer.
 
     The three semi-naive paths agree in full; naive agrees structurally
     (it enumerates differently, so its counters drift).
@@ -123,7 +123,7 @@ class TestInterningProperties:
 
     @given(zipf_soups())
     @settings(max_examples=25, deadline=None)
-    def test_invariants_hold_under_winner_index(self, tokens):
+    def test_invariants_hold_under_multiword_masks(self, tokens):
         _check_interning_invariants(_parse(shift_ids(tokens)))
 
     @given(zipf_soups())

@@ -6,9 +6,24 @@ import gc
 import re
 
 from repro import bench
+from repro.grammar.standard import build_standard_grammar
 from repro.parser.parser import BestEffortParser, ParserConfig
 
 _TOKEN_SETS = bench.generate_token_sets(3)
+
+#: Exact work counters of the standard grammar over the 120 batch forms.
+#: The parse is deterministic, so these are the benchmark's work, not a
+#: tolerance band: a change that moves any of them must say why in its
+#: description (``spatial_memo_hits`` is always 0 and left out).
+_BATCH120_COUNTERS = {
+    "instances_created": 16_998,
+    "combos_examined": 27_035,
+    "instances_pruned": 6_181,
+    "rollback_kills": 4_390,
+    "fixpoint_rounds": 5_180,
+    "combos_prefiltered": 62_602,
+    "truncated": 0,
+}
 
 
 def test_corpus_is_the_batch120_band():
@@ -23,6 +38,16 @@ def test_default_budget_truncates_no_form():
     assert result.truncated == 0
     assert result.instances_created > 0
     assert "truncated forms: 0" in result.describe()
+
+
+def test_batch120_work_counters_are_exact():
+    parser = BestEffortParser(build_standard_grammar())
+    totals = dict.fromkeys(_BATCH120_COUNTERS, 0)
+    for tokens in bench.generate_token_sets(bench.BATCH_FORMS):
+        counters = parser.parse(tokens).stats.counters()
+        for name in totals:
+            totals[name] += counters[name]
+    assert totals == _BATCH120_COUNTERS
 
 
 def test_truncated_forms_are_counted(monkeypatch):
