@@ -235,7 +235,8 @@ class FormExtractor:
         trace = trace if trace is not None else Trace()
         with trace.span("tokenize") as span:
             tokenizer = FormTokenizer(document, guard=guard)
-            form = self._pick_form(document, form_index)
+            forms = document.forms
+            form = self._pick_form(forms, form_index)
             if form is None:
                 trace.tags["form_fallback"] = True
                 trace.warn(
@@ -247,7 +248,7 @@ class FormExtractor:
                 )
             tokens = tokenizer.tokenize(form)
             span.count("tokens", len(tokens))
-            span.count("forms_on_page", len(document.forms))
+            span.count("forms_on_page", len(forms))
         return self.extract_from_tokens(tokens, trace=trace, guard=guard)
 
     def extract_from_tokens(
@@ -418,7 +419,8 @@ class FormExtractor:
         try:
             with trace.span("tokenize") as span:
                 tokenizer = FormTokenizer(document, guard=guard)
-                form = self._pick_form(document, form_index)
+                forms = document.forms
+                form = self._pick_form(forms, form_index)
                 if form is None:
                     trace.tags["form_fallback"] = True
                     trace.warn(
@@ -427,7 +429,7 @@ class FormExtractor:
                     )
                 tokens = tokenizer.tokenize(form)
                 span.count("tokens", len(tokens))
-                span.count("forms_on_page", len(document.forms))
+                span.count("forms_on_page", len(forms))
         except FormNotFoundError:
             raise
         except Exception as exc:
@@ -587,8 +589,8 @@ class FormExtractor:
     # -- helpers ---------------------------------------------------------------------
 
     @staticmethod
-    def _pick_form(document: Document, form_index: int) -> Element | None:
-        forms = document.forms
+    def _pick_form(forms: list[Element], form_index: int) -> Element | None:
+        """``forms[form_index]``, from the page's forms in document order."""
         if not forms:
             if form_index == 0:
                 return None  # whole-page fallback, recorded by the caller

@@ -36,6 +36,26 @@ def subsumes(v1: Instance, v2: Instance) -> bool:
     return v1.coverage > v2.coverage
 
 
+def shares(*keys: str) -> Predicate:
+    """Conflict condition: both instances hold one component instance.
+
+    Holds when, for some payload key of *keys*, both payloads carry the
+    same non-``None`` value -- by convention the ``uid`` of a component
+    (``"attr_uid"``, ``"val_uid"``, ...).
+    """
+
+    def _condition(v1: Instance, v2: Instance) -> bool:
+        first_payload = v1.payload
+        second_payload = v2.payload
+        for key in keys:
+            first = first_payload.get(key)
+            if first is not None and first == second_payload.get(key):
+                return True
+        return False
+
+    return _condition
+
+
 def covers_more(v1: Instance, v2: Instance) -> bool:
     """True when v1 covers strictly more tokens than v2."""
     return len(v1.coverage) > len(v2.coverage)

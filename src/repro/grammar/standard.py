@@ -49,7 +49,7 @@ from typing import Any, Callable
 from repro.grammar.dsl import GrammarBuilder
 from repro.grammar.grammar import TwoPGrammar
 from repro.grammar.instance import Instance
-from repro.grammar.preference import Predicate, subsumes
+from repro.grammar.preference import shares, subsumes
 from repro.grammar.production import SpatialBound
 from repro.grammar.text_heuristics import (
     clean_label,
@@ -154,16 +154,6 @@ def _cp(
         if val is not None:
             payload["op_gap"] = val.bbox.gap(op.bbox)
     return payload
-
-
-def _share(key: str) -> "Predicate":
-    """Conflict condition: both CPs use the same component instance."""
-
-    def _condition(v1: Instance, v2: Instance) -> bool:
-        first = v1.payload.get(key)
-        return first is not None and first == v2.payload.get(key)
-
-    return _condition
 
 
 def _tighter_binding(v1: Instance, v2: Instance) -> bool:
@@ -940,9 +930,7 @@ def standard_builder(spatial: SpatialConfig = DEFAULT_SPATIAL) -> GrammarBuilder
     # cannot first eliminate the correct smaller one.
     g.prefer(
         "CP", over="CP",
-        when=lambda v1, v2: (
-            _share("val_uid")(v1, v2) or _share("attr_uid")(v1, v2)
-        ),
+        when=shares("val_uid", "attr_uid"),
         criteria=lambda v1, v2: (
             bool(v1.payload.get("dom_evidence"))
             and not v2.payload.get("dom_evidence")
@@ -950,7 +938,7 @@ def standard_builder(spatial: SpatialConfig = DEFAULT_SPATIAL) -> GrammarBuilder
         name="R6d-dom-evidence-wins",
     )
     g.prefer(
-        "CP", over="CP", when=_share("val_uid"),
+        "CP", over="CP", when=shares("val_uid"),
         criteria=lambda v1, v2: (
             v1.payload.get("arrangement") == "bare"
             and v1.payload.get("unit_count") == 1
@@ -959,17 +947,17 @@ def standard_builder(spatial: SpatialConfig = DEFAULT_SPATIAL) -> GrammarBuilder
         name="R6e-lone-widget-self-labeled",
     )
     g.prefer(
-        "CP", over="CP", when=_share("attr_uid"),
+        "CP", over="CP", when=shares("attr_uid"),
         criteria=_tighter_binding,
         name="R6a-attr-binds-horizontal",
     )
     g.prefer(
-        "CP", over="CP", when=_share("val_uid"),
+        "CP", over="CP", when=shares("val_uid"),
         criteria=_tighter_binding,
         name="R6b-val-binds-horizontal",
     )
     g.prefer(
-        "CP", over="CP", when=_share("op_uid"), criteria=_tighter_op,
+        "CP", over="CP", when=shares("op_uid"), criteria=_tighter_op,
         name="R6c-op-binds-closest",
     )
     # The dominant disambiguator: a condition pattern that explains more of

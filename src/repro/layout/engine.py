@@ -24,7 +24,7 @@ from repro.html.dom import Document, Element, Node, Text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.guard import ResourceGuard
-from repro.layout.box import BBox
+from repro.layout.box import BBox, union_all
 from repro.layout.fonts import BOLD_FONT, DEFAULT_FONT, FontMetrics
 from repro.layout.style import (
     BLOCK_LEFT_INDENT,
@@ -166,34 +166,19 @@ def control_size(element: Element, font: FontMetrics = DEFAULT_FONT) -> tuple[fl
     return (0.0, 0.0)
 
 
-def _container_of(node: Node) -> int:
-    """Identity of the nearest non-inline ancestor (merge boundary)."""
-    ancestor = node.parent
-    while isinstance(ancestor, Element):
-        if display_of(ancestor) is not Display.INLINE:
-            return id(ancestor)
-        ancestor = ancestor.parent
-    return id(ancestor) if ancestor is not None else 0
-
-
-def _link_id_of(node: Node) -> int:
-    """Identity of the enclosing ``<a href>``, or 0 outside links."""
-    ancestor = node.parent
-    while isinstance(ancestor, Element):
-        if ancestor.tag == "a" and ancestor.has_attribute("href"):
-            return id(ancestor)
-        ancestor = ancestor.parent
-    return 0
-
-
-def _label_for_of(node: Node) -> str:
-    """The ``for`` target of an enclosing ``<label>``, or ""."""
-    ancestor = node.parent
-    while isinstance(ancestor, Element):
-        if ancestor.tag == "label":
-            return ancestor.get("for") or ""
-        ancestor = ancestor.parent
-    return ""
+def _enclosing_link_and_label(node: Node) -> tuple[int, str]:
+    """The nearest ``<a href>`` (its identity, or 0) and ``<label>`` (its
+    ``for`` target, or "") among the ancestors of *node*."""
+    link_id = 0
+    label_for: str | None = None
+    for ancestor in node.ancestors():
+        if not isinstance(ancestor, Element):
+            break
+        if not link_id and ancestor.tag == "a" and ancestor.has_attribute("href"):
+            link_id = id(ancestor)
+        elif label_for is None and ancestor.tag == "label":
+            label_for = ancestor.get("for") or ""
+    return link_id, label_for or ""
 
 
 def is_control(element: Element) -> bool:
@@ -423,6 +408,8 @@ class LayoutEngine:
         self._depth_cap = max_depth
         self._guard: ResourceGuard | None = None
         self._stopped = False
+        self._root_link_id = 0
+        self._root_label_for = ""
 
     # -- public API -------------------------------------------------------------
 
@@ -444,6 +431,10 @@ class LayoutEngine:
         self._depth_cap = depth_cap
         result = LayoutResult(viewport_width=self.viewport_width)
         root: Node = document.body or document
+        # Malformed markup can put the body inside a link or a label.
+        self._root_link_id, self._root_label_for = _enclosing_link_and_label(
+            root
+        )
         content_width = self.viewport_width - 2 * BODY_MARGIN
         bottom = self._layout_block_children(
             root, BODY_MARGIN, BODY_MARGIN, content_width, result, bold=False,
@@ -493,8 +484,15 @@ class LayoutEngine:
             if not inline_buffer:
                 return cursor_y
             flow = _InlineFlow(result, x, cursor_y, width, self.font)
+            # *node* is the document or a non-inline element, and so is
+            # each of its ancestors up to the layout root (inline content
+            # is flowed, never block-laid-out), so only an ``<a>`` or
+            # ``<label>`` around the root itself can enclose it.
             for item, item_bold in inline_buffer:
-                self._flow_inline(item, flow, item_bold, result, depth + 1)
+                self._flow_inline(
+                    item, flow, item_bold, result, depth + 1, id(node),
+                    self._root_link_id, self._root_label_for,
+                )
             inline_buffer = []
             return flow.finish()
 
@@ -575,14 +573,23 @@ class LayoutEngine:
         flow: _InlineFlow,
         bold: bool,
         result: LayoutResult,
-        depth: int = 0,
+        depth: int,
+        container: int,
+        link_id: int,
+        label_for: str,
     ) -> None:
-        """Feed an inline-level node (and descendants) into the line flow."""
+        """Feed an inline-level node (and descendants) into the line flow.
+
+        What a text fragment inherits from its ancestors is passed down
+        as *bold* is: *container*, the identity of the nearest
+        non-inline ancestor (the merge boundary); *link_id*, that of the
+        enclosing ``<a href>`` (0 outside links); and *label_for*, the
+        ``for`` target of the enclosing ``<label>`` ("" outside one).
+        """
         if self._over_depth(depth, result):
             return
         if isinstance(node, Text):
-            flow.add_text(node, bold, _container_of(node),
-                          _link_id_of(node), _label_for_of(node))
+            flow.add_text(node, bold, container, link_id, label_for)
             return
         if not isinstance(node, Element):
             return
@@ -597,8 +604,18 @@ class LayoutEngine:
             flow.add_atom(node, width, height)
             return
         child_bold = bold or is_bold_context(node)
+        if display is not Display.INLINE:
+            container = id(node)
+        if node.tag == "a":
+            if node.has_attribute("href"):
+                link_id = id(node)
+        elif node.tag == "label":
+            label_for = node.get("for") or ""
         for child in node.children:
-            self._flow_inline(child, flow, child_bold, result, depth + 1)
+            self._flow_inline(
+                child, flow, child_bold, result, depth + 1, container,
+                link_id, label_for,
+            )
 
     # -- table formatting -----------------------------------------------------
 
@@ -860,23 +877,43 @@ class LayoutEngine:
     # -- container boxes ----------------------------------------------------------
 
     def _assign_container_boxes(self, root: Node, result: LayoutResult) -> None:
-        """Give forms and other containers the union box of their contents."""
-        for element in root.iter_elements():
-            if self._guard is not None and self._guard.tick("layout", stride=128):
-                self._stopped = True
-                break
-            if id(element) in result.element_boxes:
-                continue
-            boxes = [
-                result.element_boxes[id(descendant)]
-                for descendant in element.iter_elements()
-                if id(descendant) in result.element_boxes
-            ]
-            if boxes:
-                union = boxes[0]
-                for box in boxes[1:]:
-                    union = union.union(box)
-                result.element_boxes[id(element)] = union
+        """Give forms and other containers the union box of their contents.
+
+        Every element without a box of its own gets the union of the
+        boxes laid out in its subtree.  One pass in reverse document
+        order, which reaches every node after all of its descendants,
+        folds each node's subtree union from its children's.  Elements
+        are ticked against the guard and queued in document order, so a
+        deadline stops at the same element and the boxes enter
+        ``element_boxes`` in document order.
+        """
+        boxes = result.element_boxes
+        guard = self._guard
+        nodes = list(root.iter())
+        pending: list[Element] = []
+        for node in nodes:
+            if isinstance(node, Element):
+                if guard is not None and guard.tick("layout", stride=128):
+                    self._stopped = True
+                    break
+                if id(node) not in boxes:
+                    pending.append(node)
+        if not pending:
+            return
+        unions: dict[int, BBox] = {}
+        for node in reversed(nodes):
+            own = boxes.get(id(node))
+            parts = [] if own is None else [own]
+            for child in node.children:
+                below = unions.get(id(child))
+                if below is not None:
+                    parts.append(below)
+            if parts:
+                unions[id(node)] = union_all(parts)
+        for element in pending:
+            union = unions.get(id(element))
+            if union is not None:
+                boxes[id(element)] = union
                 result.elements_by_id[id(element)] = element
 
 

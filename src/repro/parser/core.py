@@ -10,11 +10,10 @@ Everything here operates on *interned* instances: each parse owns an
 key on the global ``uid`` serial and object sets now runs on id-keyed
 arrays and bitmasks:
 
-* preference enforcement compares coverage masks set-at-a-time: each
-  instance's coverage is ``words`` ``uint64`` words (token *t* is bit
-  ``t % 64`` of word ``t // 64``), cached per symbol pool, and old
-  losers meet only the winners past the watermark, found with one
-  ``bisect`` over the iid-ordered pool;
+* preference enforcement tests coverage on each instance's own
+  ``coverage_mask`` int (token *t* is bit *t*), one candidate list per
+  loser still alive, and old losers meet only the winners past the
+  watermark, found with one ``bisect`` over the iid-ordered pool;
 * ancestry tests use :meth:`Instance.descendant_iid_mask` -- one
   arbitrary-precision int per subtree, built with ``|=`` instead of a
   hash insert per node, tested with a shift-and-mask instead of a set
@@ -40,9 +39,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterator
-
-import numpy
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from repro.grammar.instance import Instance, InternTable
 from repro.grammar.preference import Preference
@@ -59,12 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     TargetCheck = tuple[int, "AxisSpec", "AxisSpec"]
     GuardTick = Callable[[str], bool]
-
-#: Cell cap for materializing a whole loser x winner candidacy matrix in
-#: preference enforcement.  Each word's uint64 intermediates cost 8 bytes
-#: per cell, so this bounds the transient allocation to ~16 MiB; larger
-#: (degenerate) pools fall back to computing one row per alive loser.
-_MASKED_MATRIX_CELLS = 1 << 21
 
 _iid = attrgetter("iid")
 
@@ -112,10 +103,16 @@ class SymbolBudget:
         self.combos_left = combos_left
 
 
-#: One enforceable preference: ``(ordinal, preference, subsume?)``.  The
-#: ordinal keys the enforcement watermark; the flag selects the
-#: ``subsumes`` fast path.
-PreferenceEntry = tuple[int, Preference, bool]
+class PreferenceEntry(NamedTuple):
+    """One enforceable preference, as the parser snapshots it per symbol
+    (see :class:`~repro.parser.parser.BestEffortParser`)."""
+
+    #: Stable per-grammar ordinal; keys the enforcement watermark.
+    ordinal: int
+    preference: Preference
+    #: The condition is ``subsumes``: candidates are the strict coverage
+    #: supersets of the loser, and the predicate is never called.
+    subsume: bool
 
 
 class ParseCore:
@@ -124,17 +121,13 @@ class ParseCore:
     Owns the parse's :class:`~repro.grammar.instance.InternTable`; every
     instance entering the parse goes through :meth:`register`, which
     interns it and maintains the symbol pools and the parent links
-    rollback follows.  *words* is the width of a coverage mask in
-    ``uint64`` words: the largest token id of the parse, divided by 64,
-    plus one.
+    rollback follows.
     """
 
     __slots__ = (
         "table",
         "parents",
         "store",
-        "words",
-        "mask_rows",
         "preference_watermark",
         "dirty_symbols",
         "instances_left",
@@ -142,7 +135,7 @@ class ParseCore:
         "compacted_at_kills",
     )
 
-    def __init__(self, instances_left: int, combos_left: int, words: int = 1):
+    def __init__(self, instances_left: int, combos_left: int):
         self.table = InternTable()
         #: ``parents[iid]``: the registered instances built directly from
         #: instance *iid*, in registration order (which is creation
@@ -150,12 +143,6 @@ class ParseCore:
         #: forest a parse returns has no child -> parent back-references.
         self.parents: list[list[Instance]] = []
         self.store: dict[str, list[Instance]] = {}
-        self.words = words
-        #: ``mask_rows[symbol]``: the coverage masks of a prefix of
-        #: ``store[symbol]``, one ``(words,)`` row per instance (see
-        #: :func:`pool_masks`).  Pools only grow until :meth:`compact`
-        #: rewrites them, which drops their rows.
-        self.mask_rows: dict[str, numpy.ndarray] = {}
         #: Per-preference enforcement watermark: the highest interned id
         #: registered when the preference was last enforced.  Winner/loser
         #: pairs that both predate the watermark were already tested then
@@ -194,14 +181,13 @@ class ParseCore:
         The intern table keeps everything (maximization and the result
         object need the dead for accounting); only the ``store`` pools --
         what preference enforcement and pool snapshots iterate -- are
-        compacted, together with the mask rows cached for them.  Only
-        dirty pools are rewritten, in place and in relative order, so
-        enumeration order and winner selection are unaffected.
+        compacted.  Only dirty pools are rewritten, in place and in
+        relative order, so enumeration order and winner selection are
+        unaffected.
         """
         for symbol in self.dirty_symbols:
             pool = self.store[symbol]
             pool[:] = [instance for instance in pool if instance.alive]
-            self.mask_rows.pop(symbol, None)
         self.dirty_symbols.clear()
 
 
@@ -209,8 +195,8 @@ def maybe_compact(core: ParseCore, counters: CoreCounters) -> None:
     """Compact the store pools once enough instances have died.
 
     Amortized: a sweep costs O(live + dead) and only runs after the dead
-    amount to a quarter of everything registered, so enforcement's mask
-    matrices and pool snapshots never drag long runs of tombstones.
+    amount to a quarter of everything registered, so enforcement's
+    candidate scans and pool snapshots never drag long runs of tombstones.
     """
     kills = counters.instances_pruned + counters.rollback_kills
     dead_since = kills - core.compacted_at_kills
@@ -568,14 +554,14 @@ def prune_round(
 
     A killing round may compact the pools (:func:`maybe_compact`), so a
     deep recursive fix-point does not drag tens of thousands of
-    tombstones through every later round's mask matrices.  That is safe
+    tombstones through every later round's candidate scans.  That is safe
     mid-fix-point: only head-symbol instances die here, so the pools
     :func:`instantiate_symbol` aliases as frozen stay tombstone-free and
     are never rewritten.
     """
     kills = counters.instances_pruned + counters.rollback_kills
-    for ordinal, preference, subsume in preferences:
-        enforce(core, ordinal, preference, subsume, counters)
+    for entry in preferences:
+        enforce(core, entry, counters)
     if counters.instances_pruned + counters.rollback_kills == kills:
         return False
     maybe_compact(core, counters)
@@ -583,11 +569,7 @@ def prune_round(
 
 
 def enforce(
-    core: ParseCore,
-    pref_index: int,
-    preference: Preference,
-    subsume: bool,
-    counters: CoreCounters,
+    core: ParseCore, entry: PreferenceEntry, counters: CoreCounters
 ) -> None:
     """Enforce one preference: invalidate losers, roll back ancestors.
 
@@ -597,13 +579,19 @@ def enforce(
     (predicates are pure, ancestry and coverage are immutable, and dead
     instances never resurrect).  Pools are iid-ordered, so the old
     losers are a prefix of the alive losers and the winners registered
-    since the watermark a suffix of the winner pool, each found with
+    since the watermark a suffix of the alive winners, each found with
     one ``bisect``: old losers meet only that suffix, new losers meet
-    the whole pool.  Losers are scanned in pool order, old ones first,
-    as one pass over the pool would.
+    every alive winner.  Losers are scanned in pool order, old ones
+    first, as one pass over the pool would.
+
+    Pools keep their dead until :func:`maybe_compact` sweeps them, and
+    in a deep recursive fix-point most of a pool can be dead, so the
+    alive winners are listed once per pass rather than skipped once per
+    loser.
     """
-    watermark = core.preference_watermark.get(pref_index, -1)
-    core.preference_watermark[pref_index] = len(core.table) - 1
+    preference = entry.preference
+    watermark = core.preference_watermark.get(entry.ordinal, -1)
+    core.preference_watermark[entry.ordinal] = len(core.table) - 1
     loser_pool = core.store.get(preference.loser_symbol)
     if not loser_pool:
         return
@@ -614,78 +602,73 @@ def enforce(
         # Neither pool has grown since the last pass (the tail iid
         # bounds everything): every surviving pair was already tested.
         return
-    # Dead losers are dropped before any mask is built: tombstone rows
-    # would only widen every matrix below.
     losers = [inst for inst in loser_pool if inst.alive]
     if not losers:
         return
-    winner_masks = pool_masks(core, preference.winner_symbol, winner_pool)
+    winners = (
+        losers if winner_pool is loser_pool
+        else [inst for inst in winner_pool if inst.alive]
+    )
+    if not winners:
+        return
     split = bisect_left(losers, watermark + 1, key=_iid)
-    fresh = bisect_left(winner_pool, watermark + 1, key=_iid)
-    if split and fresh < len(winner_pool):
-        _kill_losers(
-            core, preference, subsume, losers[:split], winner_pool,
-            winner_masks, fresh, counters,
-        )
+    fresh = bisect_left(winners, watermark + 1, key=_iid)
+    if split and fresh < len(winners):
+        _kill_losers(core, entry, losers[:split], winners, fresh, counters)
     if split < len(losers):
-        _kill_losers(
-            core, preference, subsume, losers[split:], winner_pool,
-            winner_masks, 0, counters,
-        )
+        _kill_losers(core, entry, losers[split:], winners, 0, counters)
 
 
 def _kill_losers(
     core: ParseCore,
-    preference: Preference,
-    subsume: bool,
+    entry: PreferenceEntry,
     losers: list[Instance],
-    winner_pool: list[Instance],
-    winner_masks: numpy.ndarray,
+    winners: list[Instance],
     start: int,
     counters: CoreCounters,
 ) -> None:
-    """Roll back every loser a live winner in ``winner_pool[start:]`` beats.
+    """Roll back every loser a live winner in ``winners[start:]`` beats.
 
-    The loser x winner candidacy relation is one numpy boolean matrix
-    over coverage masks (:func:`candidacy`), with the winners' rows
-    (*winner_masks*, aligned with *winner_pool*) taken from the pool's
-    cache.  A kill only depends on *whether* some candidate beats the
-    loser, so candidates are scanned in pool order and the first that
-    passes the ancestry test and the rule's own predicates decides.
-
-    Rows are only decoded for losers still alive when the scan reaches
-    them: each kill rolls back whole derivation chains, so most rows die
-    before their turn and their (potentially dense) ancestor-chain hits
-    are never materialized.  The matrix is only built while it stays
-    small; degenerate pools (hundreds of thousands of instances)
-    compute each alive loser's row on demand instead, keeping peak
-    memory at O(winners) regardless of pool size.
+    Each loser still alive when the scan reaches it gets one candidate
+    list, in pool order, built from its coverage mask rather than from a
+    loser x winner matrix: a strict superset for ``subsumes``, a shared
+    token (the framework's conflict requirement) for every other rule.
+    A kill only depends on *whether* some candidate beats the loser, so
+    the first candidate that passes the ancestry tests and the rule's
+    own predicates decides, and a loser that dies with a derivation
+    chain before its turn never gets a list at all.  *winners* were
+    alive when the pass began; one that has died since is skipped.
     """
-    winner_masks = winner_masks[start:]
-    words = core.words
-    hits = None
-    if len(losers) * len(winner_masks) <= _MASKED_MATRIX_CELLS:
-        hits = candidacy(coverage_masks(losers, words), winner_masks, subsume)
+    if start:
+        winners = winners[start:]
+    preference = entry.preference
+    subsume = entry.subsume
     condition = preference.condition
     criteria = preference.criteria
-    for row, loser in enumerate(losers):
+    for loser in losers:
         if not loser.alive:  # may have died from an earlier rollback
             continue
-        if hits is not None:
-            row_hits = hits[row]
-        else:
-            row_hits = candidacy(
-                coverage_masks([loser], words), winner_masks, subsume
-            )[0]
-        loser_iid = loser.iid
         loser_mask = loser.coverage_mask
+        if subsume:
+            # A strict superset; equal coverage (the loser itself
+            # included) is no strict superset.
+            candidates = [
+                winner for winner in winners
+                if winner.coverage_mask & loser_mask == loser_mask
+                and winner.coverage_mask != loser_mask
+            ]
+        else:
+            candidates = [
+                winner for winner in winners
+                if winner.coverage_mask & loser_mask
+            ]
+        if not candidates:
+            continue
+        loser_iid = loser.iid
         loser_descendants = 0  # descendant-iid mask, decoded lazily
-        for col in row_hits.nonzero()[0].tolist():
-            candidate = winner_pool[start + col]
+        for candidate in candidates:
             if not candidate.alive:
                 continue
-            if subsume and candidate.coverage_mask == loser_mask:
-                continue  # equal coverage is no strict superset
             if loser_descendants == 0:
                 loser_descendants = loser.descendant_iid_mask()
             if (loser_descendants >> candidate.iid) & 1:
@@ -701,77 +684,6 @@ def _kill_losers(
                 counters.preference_applications += 1
                 rollback(core, loser, counters)
                 break
-
-
-def coverage_masks(instances: list[Instance], words: int) -> numpy.ndarray:
-    """The coverage masks of *instances* as an ``(n, words)`` uint64 array.
-
-    Word *k* of a row holds the bits of token ids ``64 * k`` to
-    ``64 * k + 63``.
-    """
-    count = len(instances)
-    if words == 1:
-        # Every id is below 64: the mask is already one word.
-        return numpy.fromiter(
-            (instance.coverage_mask for instance in instances),
-            dtype=numpy.uint64,
-            count=count,
-        ).reshape(count, 1)
-    # One little-endian byte string per mask: on 386-token masks (7
-    # words) five times faster than one shift-and-mask pass per word.
-    size = 8 * words
-    data = b"".join(
-        [instance.coverage_mask.to_bytes(size, "little") for instance in instances]
-    )
-    return numpy.frombuffer(data, dtype="<u8").reshape(count, words)
-
-
-def pool_masks(
-    core: ParseCore, symbol: str, pool: list[Instance]
-) -> numpy.ndarray:
-    """:func:`coverage_masks` of *pool*, which is ``core.store[symbol]``.
-
-    Cached in ``core.mask_rows`` and extended by the pool's new tail
-    only: store pools are append-only until :meth:`ParseCore.compact`
-    rewrites one, and it drops that pool's rows.
-    """
-    rows = core.mask_rows.get(symbol)
-    if rows is None:
-        rows = core.mask_rows[symbol] = coverage_masks(pool, core.words)
-    elif len(rows) < len(pool):
-        tail = coverage_masks(pool[len(rows):], core.words)
-        rows = core.mask_rows[symbol] = numpy.concatenate((rows, tail))
-    return rows
-
-
-def candidacy(
-    losers: numpy.ndarray, winners: numpy.ndarray, subsume: bool
-) -> numpy.ndarray:
-    """``hits[i, j]``: may winner *j* beat loser *i*, by coverage alone?
-
-    Evaluated word by word over ``(n, words)`` mask arrays.  A
-    ``subsumes`` preference needs a superset, ``w & l == l`` in every
-    word; the scan drops equal masks, which leaves the strict superset
-    the condition asks for.  Every other preference needs a shared
-    token, the framework's conflict requirement: ``w & l != 0`` in some
-    word.
-    """
-    hits: numpy.ndarray | None = None
-    for word in range(losers.shape[1]):
-        winner_word = winners[:, word]
-        loser_word = losers[:, word, numpy.newaxis]
-        if subsume:
-            word_hits = (winner_word & loser_word) == loser_word
-        else:
-            word_hits = (winner_word & loser_word) != 0
-        if hits is None:
-            hits = word_hits
-        elif subsume:
-            hits &= word_hits
-        else:
-            hits |= word_hits
-    assert hits is not None
-    return hits
 
 
 def rollback(

@@ -286,26 +286,23 @@ class BestEffortParser:
         self.config = config or ParserConfig()
         self.schedule: Schedule = cached_schedule(grammar)
         #: Stable per-grammar preference ordinals key the core's
-        #: enforcement watermarks.
-        ordinals = {
-            id(preference): ordinal
+        #: enforcement watermarks.  Preferences whose condition is the
+        #: well-known ``subsumes`` predicate test it as the coverage-mask
+        #: superset itself (see :func:`repro.parser.core._kill_losers`).
+        entries = {
+            id(preference): PreferenceEntry(
+                ordinal, preference, preference.condition is subsumes
+            )
             for ordinal, preference in enumerate(grammar.preferences)
         }
         #: ``grammar.preferences_involving`` rebuilt per call scans every
         #: preference; the schedule's symbol set is fixed, so snapshot per
-        #: symbol once: ``(ordinal, preference, subsume fast path?)``.
-        #: Preferences whose condition is the well-known ``subsumes``
-        #: predicate test it as the coverage-mask superset itself (see
-        #: :func:`repro.parser.core.candidacy`).
+        #: symbol once.
         self._preferences_by_symbol: dict[
             str, tuple[PreferenceEntry, ...]
         ] = {
             symbol: tuple(
-                (
-                    ordinals[id(preference)],
-                    preference,
-                    preference.condition is subsumes,
-                )
+                entries[id(preference)]
                 for preference in grammar.preferences_involving(symbol)
             )
             for symbol in self.schedule.order
@@ -326,10 +323,10 @@ class BestEffortParser:
                 for production in grammar.productions_for(symbol)
             )
             and all(
-                subsume
-                and preference.winner_symbol == symbol
-                and preference.loser_symbol == symbol
-                for _, preference, subsume in entries
+                entry.subsume
+                and entry.preference.winner_symbol == symbol
+                and entry.preference.loser_symbol == symbol
+                for entry in entries
             )
         }
 
@@ -355,7 +352,6 @@ class BestEffortParser:
         state = ParseCore(
             instances_left=self.config.max_instances,
             combos_left=combos_budget,
-            words=max((token.id for token in tokens), default=0) // 64 + 1,
         )
         counters = CoreCounters()
         # The cyclic collector is paused for the call.  Everything a parse
@@ -387,10 +383,8 @@ class BestEffortParser:
                 if exhausted:
                     counters.truncated = True
                 if self.config.enable_preferences:
-                    for ordinal, preference, subsume in (
-                        self._preferences_by_symbol.get(symbol, ())
-                    ):
-                        enforce(state, ordinal, preference, subsume, counters)
+                    for entry in self._preferences_by_symbol.get(symbol, ()):
+                        enforce(state, entry, counters)
                     maybe_compact(state, counters)
                 if exhausted:
                     break

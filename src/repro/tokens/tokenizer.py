@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.html.dom import Document, Element
+from repro.html.dom import Document, Element, Node
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.guard import ResourceGuard
@@ -84,11 +84,11 @@ class FormTokenizer:
         Returns tokens sorted in reading order (top-to-bottom, then
         left-to-right) with dense ids starting at 0.
         """
-        scope = form
+        scope = None if form is None else _subtree_ids(form)
         controls = [
             control
             for control in self._layout.controls
-            if scope is None or self._in_scope(control.element, scope)
+            if scope is None or id(control.element) in scope
         ]
         scope_box = self._scope_box(controls, scope)
         fragments = [
@@ -121,21 +121,13 @@ class FormTokenizer:
 
     # -- scoping -----------------------------------------------------------------
 
-    @staticmethod
-    def _in_scope(element: Element, scope: Element) -> bool:
-        return element is scope or any(
-            ancestor is scope for ancestor in element.ancestors()
-        )
-
     def _scope_box(
-        self, controls: list[ControlBox], scope: Element | None
+        self, controls: list[ControlBox], scope: set[int] | None
     ) -> BBox | None:
         boxes = [control.box for control in controls]
         if scope is not None:
             for fragment in self._layout.fragments:
-                if fragment.node.parent is not None and self._in_scope(
-                    fragment.node.parent, scope  # type: ignore[arg-type]
-                ):
+                if id(fragment.node) in scope:
                     boxes.append(fragment.box)
         if not boxes:
             return None
@@ -147,15 +139,15 @@ class FormTokenizer:
     def _fragment_in_scope(
         self,
         fragment: TextFragment,
-        scope: Element | None,
+        scope: set[int] | None,
         scope_box: BBox | None,
     ) -> bool:
+        """*scope* holds the ids of the form's subtree (None: whole page)."""
         if not fragment.text.strip():
             return False
         if scope is None:
             return True
-        parent = fragment.node.parent
-        if parent is not None and self._in_scope(parent, scope):  # type: ignore[arg-type]
+        if id(fragment.node) in scope:
             return True
         # Nearby text just outside the <form> tag still labels the form.
         return scope_box is not None and scope_box.intersects(fragment.box)
@@ -269,6 +261,23 @@ class FormTokenizer:
         if tag == "hr":
             return "hrule", attrs
         return "image", attrs
+
+
+def _subtree_ids(root: Node) -> set[int]:
+    """The ``id()`` of *root* and of every node below it.
+
+    A control or a text fragment is in a form's scope when its node is
+    in this set, so no ancestor walk per control or fragment is needed.
+    Visit order does not matter, so this skips ``Node.iter``'s
+    document-order bookkeeping.
+    """
+    ids: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        ids.add(id(node))
+        stack.extend(node.children)
+    return ids
 
 
 def tokenize_form(document: Document, form: Element | None = None) -> list[Token]:

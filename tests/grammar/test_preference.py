@@ -4,6 +4,7 @@ from repro.grammar.instance import Instance
 from repro.grammar.preference import (
     Preference,
     covers_more,
+    shares,
     subsumes,
     tighter,
 )
@@ -37,6 +38,20 @@ class TestPredicates:
         small = wrap("B", text_instance(2, 300))
         assert covers_more(big, small)
         assert not covers_more(small, big)
+
+    def test_shares_holds_when_some_key_has_one_value(self):
+        condition = shares("attr_uid", "val_uid")
+        first = text_instance(0)
+        second = text_instance(1, 100)
+        first.payload.update(attr_uid=7, val_uid=None)
+        second.payload.update(attr_uid=8, val_uid=None)
+        assert not condition(first, second)  # None is no shared component
+        second.payload["attr_uid"] = 7
+        assert condition(first, second)  # the first key
+        second.payload.update(attr_uid=8, val_uid=3)
+        first.payload["val_uid"] = 3
+        assert condition(first, second)  # the second key
+        assert not shares("op_uid")(first, second)
 
     def test_tighter_prefers_smaller_spread(self):
         close = wrap("A", text_instance(0, 0), text_instance(1, 70))

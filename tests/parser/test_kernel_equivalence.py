@@ -1,20 +1,16 @@
-"""Semi-naive vs naive, and every shape of mask enforcement: one answer.
+"""Semi-naive vs naive, and every shape of enforcement: one answer.
 
 The semi-naive fix-point filters candidates through the columnar
 :class:`~repro.parser.spatial_index.GeometryTable` and enforces
-preferences through coverage-mask matrices of ``words`` ``uint64`` words
-per instance (the largest token id, divided by 64, plus one), skipping
-pairs an earlier pass already tested.  Each of these must be a pure
-performance transformation: naive evaluation stays the ground truth for
-trees and models, and the enforcement variants are compared on identical
-geometry, byte for byte (trees, merged models, warnings, and every
-``ParseStats`` counter):
+preferences on each instance's ``coverage_mask`` int: one candidate list
+per alive loser, and no pair an earlier pass already tested.  Each of
+these must be a pure performance transformation: naive evaluation stays
+the ground truth for trees and models, and the enforcement variants are
+compared on identical geometry, byte for byte (trees, merged models,
+warnings, and every ``ParseStats`` counter):
 
 * **id shift** -- the same tokens with every ``token.id`` increased by 64
-  drive 2-word masks (by 200, 4-word masks in the oracle leg);
-* **row fallback** -- with ``core._MASKED_MATRIX_CELLS`` at 0,
-  enforcement computes one hit row per alive loser instead of the whole
-  loser x winner matrix;
+  put every coverage bit past the first 64 (by 200 in the oracle leg);
 * **reference oracle** -- :func:`reference_enforce`, enforcement by
   definition (every alive loser against every alive winner through
   :meth:`Preference.applies`, no masks and no watermark), patched over
@@ -26,6 +22,8 @@ hypothesis-generated random token soups.  Two wide fuzz mutants pin the
 exact counters of parses past 64 tokens, and the Zipf forms are checked
 to reach both halves of enforcement's old/new split (old losers against
 the winners past the watermark, new losers against the whole pool).
+The standard grammar's ``shares`` conditions are checked against the
+plain closures they replaced.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from repro.apps.navmenu import build_menu_grammar
 from repro.datasets.domains import DOMAINS
 from repro.datasets.generator import GeneratorProfile, SourceGenerator
 from repro.extractor import FormExtractor
+from repro.grammar.dsl import GrammarBuilder
 from repro.grammar.example_g import build_example_grammar
 from repro.grammar.standard import build_standard_grammar
 from repro.html.parser import parse_html
@@ -58,11 +57,11 @@ FORMS_PER_DOMAIN = 3  # 8 domains -> 24 Zipf-profile forms
 #: Zipf-distributed; wide condition counts make large mixed pools.
 _PROFILE = GeneratorProfile(min_conditions=2, max_conditions=8)
 
-#: Shifting every token id by this much leaves no id below 64, so every
-#: coverage mask of the parse is two words wide.
+#: Shifting every token id by this much leaves no id below 64, so no
+#: coverage mask of the parse fits one machine word.
 ID_SHIFT = 64
 
-#: The oracle leg's id shifts: 1-, 2- and 4-word coverage masks.
+#: The oracle leg's id shifts: masks of up to 64, 128 and 256 bits.
 ORACLE_SHIFTS = (0, 64, 200)
 
 
@@ -124,22 +123,12 @@ def shift_ids(tokens, shift=ID_SHIFT):
     return [dataclasses.replace(token, id=token.id + shift) for token in tokens]
 
 
-def _parse_row_fallback(grammar, tokens, **config):
-    """Parse with enforcement forced onto its row-at-a-time path."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(parser_core, "_MASKED_MATRIX_CELLS", 0)
-        return _parse(grammar, tokens, **config)
-
-
 def _assert_enforcement_paths_agree(grammar, tokens, **config):
-    """1-word masks, 2-word masks, and row masks: one fingerprint."""
+    """Ids from 0 and ids past 63: one fingerprint."""
     shifted = shift_ids(tokens)
     assert all(token.id >= 64 for token in shifted)
     expected = _fingerprint(_parse(grammar, tokens, **config))
     assert _fingerprint(_parse(grammar, shifted, **config)) == expected
-    assert _fingerprint(
-        _parse_row_fallback(grammar, tokens, **config)
-    ) == expected
 
 
 @pytest.mark.parametrize(
@@ -152,64 +141,19 @@ def test_enforcement_paths_agree_on_zipf_forms(label, tokens):
 
 @pytest.mark.parametrize("grammar_name", sorted(_GRAMMARS))
 def test_enforcement_paths_agree_on_shipped_grammars(grammar_name):
-    """Every shipped grammar, not just the standard one, gives 1-word
-    and 2-word coverage masks the same answer."""
+    """Every shipped grammar, not just the standard one, gives ids from
+    0 and ids past 63 the same answer."""
     grammar = _GRAMMARS[grammar_name]
     for _, tokens in _TOKEN_SETS[:: max(1, len(_TOKEN_SETS) // 8)]:
         expected = _fingerprint(_parse(grammar, tokens))
         assert _fingerprint(_parse(grammar, shift_ids(tokens))) == expected
 
 
-@pytest.mark.parametrize("grammar_name", sorted(_GRAMMARS))
-def test_row_fallback_agrees_on_shipped_grammars(grammar_name):
-    """Every shipped grammar's preferences give the row-at-a-time
-    fallback and the full loser x winner matrix the same answer."""
-    grammar = _GRAMMARS[grammar_name]
-    for _, tokens in _TOKEN_SETS[:: max(1, len(_TOKEN_SETS) // 8)]:
-        expected = _fingerprint(_parse(grammar, tokens))
-        assert _fingerprint(_parse_row_fallback(grammar, tokens)) == expected
-
-
-def _recording_cores(patch):
-    """Record every ``ParseCore`` the parser builds while *patch* is on."""
-    cores = []
-    core_class = parser_module.ParseCore
-
-    def recording_core(*args, **kwargs):
-        core = core_class(*args, **kwargs)
-        cores.append(core)
-        return core
-
-    patch.setattr(parser_module, "ParseCore", recording_core)
-    return cores
-
-
-@pytest.mark.parametrize(
-    "top_id,words", [(63, 1), (64, 2), (127, 2), (128, 3)],
-    ids=["top-id-63", "top-id-64", "top-id-127", "top-id-128"],
-)
-def test_mask_width_follows_the_top_token_id(top_id, words):
-    """A coverage mask is ``top_id // 64 + 1`` words wide, and whatever
-    its width the parse gives the same answer."""
-    _, tokens = max(_TOKEN_SETS, key=lambda pair: len(pair[1]))
-    ids = [token.id for token in tokens]
-    assert max(ids) - min(ids) <= 63
-    stream = shift_ids(tokens, top_id - max(ids))
-    assert min(token.id for token in stream) >= 0
-    with pytest.MonkeyPatch.context() as patch:
-        cores = _recording_cores(patch)
-        result = _parse(_GRAMMARS["standard"], stream)
-    assert [core.words for core in cores] == [words]
-    assert result.stats.preference_applications > 0
-    assert _fingerprint(result) == _fingerprint(
-        _parse(_GRAMMARS["standard"], tokens)
-    )
-
-
-def reference_enforce(core, ordinal, preference, subsume, counters):
+def reference_enforce(core, entry, counters):
     """Enforcement by definition: each alive loser, in pool order, is
     rolled back when some alive winner beats it under
     :meth:`Preference.applies`.  No masks, no watermark."""
+    preference = entry.preference
     winners = core.store.get(preference.winner_symbol, [])
     for loser in core.store.get(preference.loser_symbol, []):
         if loser.alive and any(
@@ -238,8 +182,8 @@ def _assert_reference_agrees(grammar, tokens, **config):
 
 @pytest.mark.parametrize("grammar_name", sorted(_GRAMMARS))
 def test_reference_enforcement_agrees(grammar_name):
-    """Every shipped grammar gives mask enforcement and the reference
-    oracle one fingerprint, at 1, 2 and 4 words per mask."""
+    """Every shipped grammar gives enforcement and the reference oracle
+    one fingerprint, with ids from 0, 64 and 200."""
     grammar = _GRAMMARS[grammar_name]
     for _, tokens in _TOKEN_SETS:
         _assert_reference_agrees(grammar, tokens)
@@ -258,7 +202,7 @@ def test_zipf_forms_reach_both_halves_of_the_split():
         enforce(*args)
 
     def recording_kill_losers(*args):
-        passes[-1].append(args[6])  # the first winner column scanned
+        passes[-1].append(args[4])  # the first winner scanned
         kill_losers(*args)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -270,6 +214,97 @@ def test_zipf_forms_reach_both_halves_of_the_split():
     split = [starts for starts in passes if len(starts) == 2]
     assert split
     assert all(old > 0 and new == 0 for old, new in split)
+
+
+#: The standard grammar's ``shares`` rules and the payload keys each
+#: compares, as the one-key closures ``shares`` replaced spelled them.
+_SHARED_KEYS = {
+    "R6d-dom-evidence-wins": ("val_uid", "attr_uid"),
+    "R6e-lone-widget-self-labeled": ("val_uid",),
+    "R6a-attr-binds-horizontal": ("attr_uid",),
+    "R6b-val-binds-horizontal": ("val_uid",),
+    "R6c-op-binds-closest": ("op_uid",),
+}
+
+
+def _plain_share(key):
+    """Conflict condition: both CPs use the same component instance."""
+
+    def condition(v1, v2):
+        first = v1.payload.get(key)
+        return first is not None and first == v2.payload.get(key)
+
+    return condition
+
+
+def _plain_condition_grammar(grammar):
+    """*grammar* with each ``shares`` condition spelled as before: one
+    plain closure per key, the two of R6d or-ed in a lambda."""
+
+    def plain(keys):
+        checks = [_plain_share(key) for key in keys]
+        return lambda v1, v2: any(check(v1, v2) for check in checks)
+
+    return dataclasses.replace(grammar, preferences=tuple(
+        dataclasses.replace(
+            preference, condition=plain(_SHARED_KEYS[preference.name])
+        )
+        if preference.name in _SHARED_KEYS
+        else preference
+        for preference in grammar.preferences
+    ))
+
+
+def test_shares_matches_plain_conditions_on_zipf_forms():
+    """``shares`` conditions and the plain closures they replaced: one
+    fingerprint per Zipf form."""
+    shared = _GRAMMARS["standard"]
+    plain = _plain_condition_grammar(shared)
+    assert set(_SHARED_KEYS) <= {pref.name for pref in shared.preferences}
+    for _, tokens in _TOKEN_SETS:
+        assert _fingerprint(_parse(plain, tokens)) == _fingerprint(
+            _parse(shared, tokens)
+        )
+
+
+def _wrapper_grammar():
+    """``X`` wraps one ``A``, over one token or two, and an ``A`` beats
+    any ``X`` it conflicts with that covers no more tokens than it does."""
+    builder = GrammarBuilder("X", name="wrapper")
+    builder.terminals("textbox")
+    builder.production("A", ["textbox"], name="A-one")
+    builder.production(
+        "A", ["textbox", "textbox"],
+        constraint=lambda first, second: first.bbox.left < second.bbox.left,
+        name="A-two",
+    )
+    builder.production("X", ["A"], name="X-wraps")
+    builder.prefer(
+        "A", over="X",
+        criteria=lambda v1, v2: len(v1.coverage) >= len(v2.coverage),
+        name="A-over-X",
+    )
+    return builder.build()
+
+
+def test_no_loser_is_beaten_by_its_own_component():
+    """Only its own component could beat the ``X`` over the two-token
+    ``A``, so it survives; the one-token ``X`` die to that ``A``."""
+    grammar = _wrapper_grammar()
+    tokens = [
+        Token(id=index, terminal="textbox",
+              bbox=BBox(10.0 * index, 10.0 * index + 8, 0.0, 8.0), attrs={})
+        for index in range(2)
+    ]
+    result = _parse(grammar, tokens)
+    assert result.stats.instances_pruned == 2
+    assert [
+        sorted(instance.coverage) for instance in result.instances
+        if instance.symbol == "X" and instance.alive
+    ] == [[0, 1]]
+    assert _fingerprint(_parse_reference(grammar, tokens)) == _fingerprint(
+        result
+    )
 
 
 #: Exact counters of two wide fuzz mutants (``mutant(20040613, i)``,
@@ -304,7 +339,7 @@ def test_wide_mutants_keep_their_counters(index):
 
 def test_naive_ground_truth():
     """Naive and semi-naive evaluation build the same forest and model,
-    with 1-word and 2-word coverage masks."""
+    with ids from 0 and ids past 63."""
     grammar = _GRAMMARS["standard"]
     for _, tokens in _TOKEN_SETS[:: max(1, len(_TOKEN_SETS) // 6)]:
         for stream in (tokens, shift_ids(tokens)):
@@ -342,9 +377,6 @@ def test_extractor_warnings_are_enforcement_identical():
     for _, tokens in _TOKEN_SETS[:4]:
         expected = outcome(tokens)
         assert outcome(shift_ids(tokens), shift=ID_SHIFT) == expected
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(parser_core, "_MASKED_MATRIX_CELLS", 0)
-            assert outcome(tokens) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +404,7 @@ def zipf_soups(draw):
     """Random form layouts on a loose grid with a Zipf terminal mix.
 
     ``id_base`` pushes half the examples past ``token.id >= 64``, so
-    their 2-word masks straddle the boundary between the words.
+    their coverage masks straddle bit 64.
     """
     count = draw(st.integers(min_value=0, max_value=16))
     id_base = draw(st.sampled_from((0, 61)))

@@ -36,8 +36,10 @@ from repro.extractor import FormExtractor
 from repro.grammar.example_g import build_example_grammar
 from repro.grammar.standard import build_standard_grammar
 from repro.html.parser import parse_html
+from repro.layout.box import BBox
 from repro.merger import Merger
 from repro.parser.parser import BestEffortParser, ExhaustiveParser, ParserConfig
+from repro.tokens.model import Token
 from repro.tokens.tokenizer import FormTokenizer
 from tests.fuzz.corpus import SEEDS
 from tests.fuzz.mutator import mutations
@@ -176,6 +178,56 @@ class TestOracleProperties:
     @settings(max_examples=75, deadline=None)
     def test_matches_oracle_on_random_soups(self, tokens, grammar_name):
         _assert_matches_oracle(_GRAMMARS[grammar_name], tokens)
+
+
+def _soup(layout):
+    """Tokens from ``{id: (terminal, (left, right, top, bottom))}``: every
+    text reads ``Author`` and textbox *i* is named ``f``*i*."""
+    tokens = []
+    for token_id in sorted(layout):
+        terminal, box = layout[token_id]
+        attrs = (
+            {"sval": "Author"} if terminal == "text"
+            else {"name": f"f{token_id}"}
+        )
+        tokens.append(Token(
+            id=token_id, terminal=terminal, bbox=BBox(*map(float, box)),
+            attrs=attrs,
+        ))
+    return tokens
+
+
+#: A 13-token soup on which the two disagree about one tree: round
+#: pruning returns token 11's tree under a ``QI`` root, the oracle under
+#: an ``HQI`` root (there a stack ``QI([0, 4], h11)`` kills the seed
+#: ``QI(h11)`` and is rolled back afterwards; round pruning never builds
+#: it).  See the ROADMAP item on what the oracle leg compares.
+_DIVERGENT_SOUP = _soup({
+    0: ("textbox", (10, 120, 34, 54)),
+    1: ("text", (250, 310, 58, 78)),
+    **{i: ("textbox", (10, 120, 10, 30)) for i in (2, 3, 6, 7)},
+    **{i: ("text", (10, 70, 10, 30)) for i in (4, 8, 10)},
+    5: ("textbox", (250, 360, 34, 54)),
+    9: ("text", (130, 190, 10, 30)),
+    11: ("textbox", (250, 360, 58, 78)),
+    12: ("text", (10, 70, 34, 54)),
+})
+
+
+def test_divergent_soup_keeps_models_and_token_reports():
+    """Where the trees differ, the model and the token reports agree."""
+    grammar = _GRAMMARS["standard"]
+    pruned = _parse(grammar, _DIVERGENT_SOUP)
+    oracle = _parse(grammar, _DIVERGENT_SOUP, oracle=True)
+    assert not oracle.stats.truncated
+    assert pruned.stats.instances_created <= oracle.stats.instances_created
+    answer = _answer(pruned)
+    expected = _answer(oracle)
+    for key in ("conditions", "conflict_tokens", "missing_tokens", "truncated"):
+        assert answer[key] == expected[key], key
+    assert answer["conflict_tokens"] == [0, 12]
+    assert answer["missing_tokens"] == []
+    assert len(answer["trees"]) == len(expected["trees"])
 
 
 # ---------------------------------------------------------------------------

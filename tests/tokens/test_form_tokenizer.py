@@ -151,6 +151,51 @@ class TestScoping:
         assert "Far away header" not in texts
 
 
+    NESTED_FORMS = (
+        "Search the shop: <form id=f1><b>Title</b> <input name=a>"
+        "<div>Author <span><input name=b> <i>exact</i></span></div></form>"
+        "<p>between the forms</p>"
+        "<form id=f2><table><tr><td>Price</td><td><select name=p>"
+        "<option>low</select></td></tr></table> <a href=/h>help</a></form>"
+        "<form id=f3></form> trailing text"
+    )
+
+    def test_scope_matches_the_ancestor_walk(self):
+        """A control is tokenized, and a fragment is kept whatever its
+        distance, exactly when the form is its node or one of the node's
+        ancestors."""
+
+        def inside(node, form):
+            return node is form or any(
+                ancestor is form for ancestor in node.ancestors()
+            )
+
+        document = parse_html(self.NESTED_FORMS)
+        tokenizer = FormTokenizer(document)
+        layout = tokenizer.layout
+        for form in document.forms:
+            tokens = tokenizer.tokenize(form)
+            controls = [
+                control.box for control in layout.controls
+                if inside(control.element, form)
+            ]
+            texts = [
+                fragment.text for fragment in layout.fragments
+                if fragment.text.strip()
+                and inside(fragment.node.parent, form)
+            ]
+            assert sorted(
+                (box.top, box.left) for box in controls
+            ) == sorted(
+                (token.bbox.top, token.bbox.left)
+                for token in tokens if token.terminal != "text"
+            )
+            token_text = " ".join(
+                token.sval for token in tokens if token.terminal == "text"
+            )
+            assert all(text in token_text for text in texts)
+
+
 class TestOrdering:
     def test_reading_order_and_dense_ids(self):
         tokens = tokenize_html(
