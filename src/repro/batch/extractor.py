@@ -1120,6 +1120,8 @@ class BatchExtractor:
                 and sig is not None
                 and self.cache is not None
                 and not record.cached
+                # As in the extractor: only full-level records are stored.
+                and "degrade.level" not in (record.trace or {}).get("tags", {})
             ):
                 self.cache.put(
                     sig,

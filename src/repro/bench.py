@@ -35,10 +35,9 @@ from typing import Any
 from repro.datasets.domains import DOMAINS
 from repro.datasets.generator import GeneratorProfile, SourceGenerator
 from repro.grammar.standard import build_standard_grammar
-from repro.html.parser import parse_html
 from repro.parser.parser import BestEffortParser
 from repro.tokens.model import Token
-from repro.tokens.tokenizer import FormTokenizer
+from repro.tokens.tokenizer import tokenize_html
 
 #: Environment variable that forces ``--profile`` on.
 PROFILE_ENV = "REPRO_BENCH_PROFILE"
@@ -77,10 +76,7 @@ def generate_token_sets(
         domain = DOMAINS[domains[seed % len(domains)]]
         source = SourceGenerator(domain, profile).generate(seed)
         seed += 1
-        document = parse_html(source.html)
-        tokenizer = FormTokenizer(document)
-        forms = document.forms
-        tokens = tokenizer.tokenize(forms[0] if forms else None)
+        tokens = tokenize_html(source.html)
         if size_low <= len(tokens) <= size_high:
             token_sets.append(tokens)
         if seed - base_seed > 40 * target_count:  # pragma: no cover

@@ -1,8 +1,9 @@
 """The form extractor: the end-to-end pipeline of paper Figure 2.
 
-Given an HTML query form, the extractor tokenizes the rendered page, parses
-the tokens against the 2P grammar with the best-effort parser, and merges
-the resulting partial parse trees into the form's query capabilities::
+Given an HTML query form, the extractor lays out and tokenizes the
+rendered page, parses the tokens against the 2P grammar with the
+best-effort parser, and merges the resulting partial parse trees into the
+form's query capabilities::
 
     from repro import FormExtractor
 
@@ -11,13 +12,19 @@ the resulting partial parse trees into the form's query capabilities::
     for condition in model:
         print(condition)      # [Author; {contains}; text] ...
 
-Every extraction additionally records a :class:`~repro.observability.Trace`
-of per-stage spans (``html-parse``, ``tokenize``, ``parse.construct``,
-``parse.maximize``, ``merge``) with durations and counters, available on
+Every entry point runs one stage sequence, entered at HTML or at tokens:
+``html-parse`` → ``layout`` → ``tokenize`` → ``cache`` (only with a
+cache) → ``parse.construct``/``parse.maximize`` → ``merge``.  Each stage
+that runs records a span with its duration, counters and tags on a
+:class:`~repro.observability.Trace`, available on
 :attr:`ExtractionResult.trace` and folded into a
-:class:`~repro.observability.MetricsRegistry` -- the extractor is
-best-effort by design, so degradations (no ``<form>`` element, budget
-truncation) are *surfaced* as warnings and tags, never silently absorbed.
+:class:`~repro.observability.MetricsRegistry`.  Without the degradation
+ladder a stage's exception propagates; under it
+(:meth:`FormExtractor.extract_resilient`) the same stages share one
+degrade-mode guard and the ladder grades what they returned.  The
+extractor is best-effort by design, so degradations (no ``<form>``
+element, budget truncation) are *surfaced* as warnings and tags, never
+silently absorbed.
 """
 
 from __future__ import annotations
@@ -28,9 +35,10 @@ from dataclasses import dataclass, field
 from repro.cache import CacheEntry, ExtractionCache, token_signature
 from repro.grammar.cache import cached_standard_grammar
 from repro.grammar.grammar import TwoPGrammar
-from repro.html.dom import Document, Element
+from repro.html.dom import Element
 from repro.html.parser import parse_html
 from repro.layout.box import BBox
+from repro.layout.engine import layout_document
 from repro.merger.merger import Merger, MergeReport
 from repro.observability.logs import get_logger, log_event
 from repro.observability.metrics import MetricsRegistry, get_global_registry
@@ -47,6 +55,7 @@ from repro.resilience.ladder import (
     LEVEL_FULL,
     LEVEL_HEURISTIC,
     LEVEL_MINIMAL,
+    LEVELS,
     DegradationReport,
     ResilienceConfig,
     token_dump_model,
@@ -96,14 +105,12 @@ class ExtractionResult:
 
     @property
     def level(self) -> str:
-        """The ladder level this extraction landed on."""
-        worst = LEVEL_FULL
-        order = {LEVEL_FULL: 0, LEVEL_CAPPED: 1, LEVEL_HEURISTIC: 2,
-                 LEVEL_MINIMAL: 3}
-        for report in self.degradation:
-            if order.get(report.level, 0) > order[worst]:
-                worst = report.level
-        return worst
+        """The ladder level this extraction landed on: the worst reported."""
+        return max(
+            (report.level for report in self.degradation),
+            key=LEVELS.index,
+            default=LEVEL_FULL,
+        )
 
 
 class FormExtractor:
@@ -116,11 +123,11 @@ class FormExtractor:
             (default) records into the process-wide global registry; pass
             a dedicated registry to isolate measurements.
         cache: Optional :class:`~repro.cache.ExtractionCache`.  When set,
-            ``extract_from_tokens`` looks the token signature up before
+            the ``cache`` stage looks the token signature up before
             parsing and replays the stored model/stats on a hit (the
-            parse and merge stages are skipped entirely); misses are
-            stored after extraction.  Cached replays rebuild fresh
-            objects -- a hit can never alias a previous result.
+            parse and merge stages are skipped entirely); ``full``-level
+            misses are stored after extraction.  Cached replays rebuild
+            fresh objects -- a hit can never alias a previous result.
         validate_grammar: When ``True``, run the static analyzer on the
             grammar at construction time and raise
             :class:`~repro.analysis.GrammarDiagnosticsError` on any
@@ -203,27 +210,8 @@ class FormExtractor:
 
         A raise-mode *guard* (the batch engine's deadline fallback) is
         threaded through every stage; with :attr:`resilience` configured
-        and no explicit guard, extraction routes through the degradation
+        and no explicit guard, extraction runs under the degradation
         ladder instead (see :meth:`extract_resilient`).
-        """
-        if self.resilience is not None and guard is None:
-            return self.extract_resilient(html, form_index)
-        trace = Trace()
-        with trace.span("html-parse") as span:
-            document = parse_html(html, guard=guard)
-            span.count("chars", len(html))
-        return self.extract_from_document(
-            document, form_index, trace=trace, guard=guard
-        )
-
-    def extract_from_document(
-        self,
-        document: Document,
-        form_index: int = 0,
-        trace: Trace | None = None,
-        guard: ResourceGuard | None = None,
-    ) -> ExtractionResult:
-        """Extract from an already-parsed document.
 
         Raises:
             FormNotFoundError: *form_index* is out of range for the
@@ -232,24 +220,10 @@ class FormExtractor:
                 (some sites write bare controls), but the fallback is
                 recorded in the result's trace and warnings.
         """
-        trace = trace if trace is not None else Trace()
-        with trace.span("tokenize") as span:
-            tokenizer = FormTokenizer(document, guard=guard)
-            forms = document.forms
-            form = self._pick_form(forms, form_index)
-            if form is None:
-                trace.tags["form_fallback"] = True
-                trace.warn(
-                    "document has no <form> element; tokenized the whole page"
-                )
-                log_event(
-                    _logger, logging.WARNING, "extract.no_form_fallback",
-                    form_index=form_index,
-                )
-            tokens = tokenizer.tokenize(form)
-            span.count("tokens", len(tokens))
-            span.count("forms_on_page", len(forms))
-        return self.extract_from_tokens(tokens, trace=trace, guard=guard)
+        ladder = self.resilience if guard is None else None
+        return self._run(
+            Trace(), guard, ladder, html=html, form_index=form_index
+        )
 
     def extract_from_tokens(
         self,
@@ -257,114 +231,17 @@ class FormExtractor:
         trace: Trace | None = None,
         guard: ResourceGuard | None = None,
     ) -> ExtractionResult:
-        """Parse and merge an existing token set.
+        """Run the stages from ``cache`` on over an existing token set.
 
         With a :attr:`cache` configured, a token-signature hit replays the
-        stored outcome (recorded as a ``cache`` span tagged ``cache_hit``)
-        instead of parsing; a miss parses normally and stores the result.
-        With :attr:`resilience` configured and no explicit guard, the
-        parse/merge stages run under the degradation ladder instead.
+        stored outcome (the trace is tagged ``cache_hit``) instead of
+        parsing; a miss parses normally and stores the result.  With
+        :attr:`resilience` configured and no explicit guard, the stages
+        run under the degradation ladder.
         """
-        if self.resilience is not None and guard is None:
-            cfg = self.resilience
-            ladder_guard = ResourceGuard(limits=cfg.limits, mode="degrade").start()
-            return self._ladder_from_tokens(
-                tokens, trace if trace is not None else Trace(), ladder_guard, cfg
-            )
+        ladder = self.resilience if guard is None else None
         trace = trace if trace is not None else Trace()
-        signature: str | None = None
-        if self.cache is not None:
-            with trace.span("cache") as span:
-                signature = token_signature(tokens)
-                entry = self.cache.get(signature)
-                span.count("hit", 1 if entry is not None else 0)
-            if entry is not None:
-                return self._replay_cached(entry, tokens, trace)
-        parse, report = self._parse_and_merge(tokens, trace, guard)
-        result = ExtractionResult(
-            model=report.model,
-            parse=parse,
-            report=report,
-            tokens=tokens,
-            trace=trace,
-        )
-        if self.cache is not None and signature is not None:
-            self.cache.put(signature, CacheEntry.from_result(result))
-        self.metrics.record_trace(trace)
-        log_event(
-            _logger, logging.DEBUG, "extract.complete",
-            tokens=len(tokens),
-            conditions=len(report.model.conditions),
-            conflicts=len(report.conflict_tokens),
-            missing=len(report.missing_tokens),
-            truncated=parse.stats.truncated,
-            seconds=round(trace.total_seconds, 6),
-        )
-        return result
-
-    def _parse_and_merge(
-        self,
-        tokens: list[Token],
-        trace: Trace,
-        guard: ResourceGuard | None,
-    ) -> tuple[ParseResult, MergeReport]:
-        """Parse *tokens* and merge the trees, recording the
-        ``parse.construct``, ``parse.maximize`` and ``merge`` spans."""
-        parse = self.parser.parse(tokens, guard=guard)
-        stats = parse.stats
-        construct = trace.add_span(
-            "parse.construct", stats.construction_seconds, counters=stats.counters()
-        )
-        if stats.truncated:
-            construct.tags["truncated"] = True
-        trace.add_span(
-            "parse.maximize",
-            stats.maximization_seconds,
-            counters={"trees": len(parse.trees)},
-        )
-        with trace.span("merge") as span:
-            report = self.merger.merge(parse, guard=guard)
-            span.counters.update(report.counters())
-        return parse, report
-
-    def _replay_cached(
-        self, entry: CacheEntry, tokens: list[Token], trace: Trace
-    ) -> ExtractionResult:
-        """Rebuild an :class:`ExtractionResult` from a cache entry.
-
-        The model and stats are fresh deserialized objects; the parse
-        carries no trees or instances (they were never stored) but replays
-        the original counters so batch/benchmark stat sums are identical
-        to a full recompute.  Warnings stored with the entry are re-issued
-        on this trace.
-        """
-        trace.tags["cache_hit"] = True
-        for warning in entry.warnings:
-            trace.warn(warning)
-        model = entry.rebuild_model()
-        stats = entry.rebuild_stats()
-        parse = ParseResult(
-            trees=[],
-            tokens=tokens,
-            instances=[],
-            stats=stats if stats is not None else ParseStats(tokens=len(tokens)),
-        )
-        result = ExtractionResult(
-            model=model,
-            parse=parse,
-            report=MergeReport(model=model),
-            tokens=tokens,
-            trace=trace,
-        )
-        self.metrics.record_trace(trace)
-        log_event(
-            _logger, logging.DEBUG, "extract.cache_hit",
-            tokens=len(tokens),
-            conditions=len(model.conditions),
-        )
-        return result
-
-    # -- the degradation ladder ---------------------------------------------------
+        return self._run(trace, guard, ladder, tokens=tokens)
 
     def extract_resilient(
         self,
@@ -374,7 +251,7 @@ class FormExtractor:
     ) -> ExtractionResult:
         """Extract under the degradation ladder: always return a model.
 
-        Runs the pipeline under a degrade-mode
+        Runs the stages under a degrade-mode
         :class:`~repro.resilience.guard.ResourceGuard` and steps down the
         ladder (``full`` → ``capped`` → ``heuristic`` → ``minimal``) on
         budget breaches or stage failures instead of raising.  Every
@@ -383,195 +260,206 @@ class FormExtractor:
         warnings/tags and counted as a ``degrade.<level>`` metric.
 
         The only exception that escapes is :class:`FormNotFoundError`
-        (a caller error, not an input pathology).  Degraded results are
-        never cached.
+        (a caller error, not an input pathology).  The cache is read only
+        while no stage has degraded, and only ``full``-level results are
+        stored.
         """
-        cfg = config if config is not None else self.resilience
-        if cfg is None:
-            cfg = ResilienceConfig()
-        guard = ResourceGuard(limits=cfg.limits, mode="degrade").start()
-        trace = Trace()
-        tokens: list[Token] = []
-        structural: list[DegradationReport] = []
+        ladder = config or self.resilience or ResilienceConfig()
+        return self._run(
+            Trace(), None, ladder, html=html, form_index=form_index
+        )
+
+    # -- the stages and the ladder -------------------------------------------------
+
+    def _run(
+        self,
+        trace: Trace,
+        guard: ResourceGuard | None,
+        ladder: ResilienceConfig | None,
+        html: str = "",
+        form_index: int = 0,
+        tokens: list[Token] | None = None,
+    ) -> ExtractionResult:
+        """Run the stages from HTML, or from ``cache`` on given *tokens*.
+
+        Without a *ladder* a stage's exception propagates.  With one, all
+        stages share one degrade-mode guard and every failure or breach
+        becomes a :class:`DegradationReport`.
+        """
+        if ladder is not None:
+            guard = ResourceGuard(limits=ladder.limits, mode="degrade").start()
+        reports: list[DegradationReport] = []
+        parse: ParseResult | None = None
+        report: MergeReport | None = None
+        stats: ParseStats | None = None
+        signature: str | None = None
+        failure: str | None = None
+        stage = "html-parse"
         try:
-            with trace.span("html-parse") as span:
-                document = parse_html(html, guard=guard)
-                span.count("chars", len(html))
-                if document.truncated:
-                    span.tags["truncated"] = True
-                if document.depth_capped:
-                    span.tags["depth_capped"] = True
-                    structural.append(
-                        DegradationReport(
-                            level=LEVEL_CAPPED,
-                            stage="html-parse",
-                            reason="tree depth cap flattened deeply "
-                            "nested markup",
+            if tokens is None:
+                with trace.span(stage) as span:
+                    document = parse_html(html, guard=guard)
+                    span.count("chars", len(html))
+                    if document.truncated:
+                        span.tags["truncated"] = True
+                    if document.depth_capped:
+                        span.tags["depth_capped"] = True
+                        reports.append(DegradationReport(
+                            LEVEL_CAPPED, stage,
+                            "tree depth cap flattened deeply nested markup",
                             resource="depth",
+                        ))
+                stage = "layout"
+                with trace.span(stage) as span:
+                    layout = layout_document(document, guard=guard)
+                    if layout.truncated:
+                        span.tags["truncated"] = True
+                stage = "tokenize"
+                with trace.span(stage) as span:
+                    forms = document.forms
+                    form = self._pick_form(forms, form_index)
+                    if form is None:
+                        trace.tags["form_fallback"] = True
+                        trace.warn(
+                            "document has no <form> element; "
+                            "tokenized the whole page"
                         )
-                    )
-        except Exception as exc:
-            trace.outcome = "ok"
-            return self._finish_ladder(
-                token_dump_model(tokens), None, None, tokens, trace, guard,
-                [self._stage_failure(LEVEL_MINIMAL, "html-parse", exc)],
-            )
-        try:
-            with trace.span("tokenize") as span:
-                tokenizer = FormTokenizer(document, guard=guard)
-                forms = document.forms
-                form = self._pick_form(forms, form_index)
-                if form is None:
-                    trace.tags["form_fallback"] = True
-                    trace.warn(
-                        "document has no <form> element; "
-                        "tokenized the whole page"
-                    )
-                tokens = tokenizer.tokenize(form)
-                span.count("tokens", len(tokens))
-                span.count("forms_on_page", len(forms))
+                        log_event(
+                            _logger, logging.WARNING, "extract.no_form_fallback",
+                            form_index=form_index,
+                        )
+                    tokens = FormTokenizer(
+                        document, layout=layout, guard=guard
+                    ).tokenize(form)
+                    span.count("tokens", len(tokens))
+                    span.count("forms_on_page", len(forms))
+            stage = "parse"
+            entry: CacheEntry | None = None
+            # Once a ladder stage has degraded, the tokens are not the
+            # page's: their entry must neither answer nor be stored.
+            degraded = ladder is not None and (bool(reports) or guard.breached)
+            if self.cache is not None and not degraded:
+                with trace.span("cache") as span:
+                    signature = token_signature(tokens)
+                    entry = self.cache.get(signature)
+                    span.count("hit", 1 if entry is not None else 0)
+            if entry is not None:
+                # Replay: fresh deserialized objects, the original counters
+                # and warnings; no trees or instances were ever stored.
+                trace.tags["cache_hit"] = True
+                for warning in entry.warnings:
+                    trace.warn(warning)
+                model = entry.rebuild_model()
+                stats = entry.rebuild_stats()
+            else:
+                parse = self.parser.parse(tokens, guard=guard)
+                stats = parse.stats
+                construct = trace.add_span(
+                    "parse.construct", stats.construction_seconds,
+                    counters=stats.counters(),
+                )
+                if stats.truncated:
+                    construct.tags["truncated"] = True
+                trace.add_span(
+                    "parse.maximize", stats.maximization_seconds,
+                    counters={"trees": len(parse.trees)},
+                )
+                with trace.span("merge") as span:
+                    report = self.merger.merge(parse, guard=guard)
+                    span.counters.update(report.counters())
+                model = report.model
         except FormNotFoundError:
             raise
         except Exception as exc:
+            if ladder is None:
+                raise
+            # The failed stage's span keeps its error tag; the extraction
+            # itself still returns a model.
             trace.outcome = "ok"
-            return self._finish_ladder(
-                token_dump_model(tokens), None, None, tokens, trace, guard,
-                [self._stage_failure(LEVEL_MINIMAL, "tokenize", exc)],
-            )
-        return self._ladder_from_tokens(
-            tokens, trace, guard, cfg, prior=structural
-        )
-
-    def _ladder_from_tokens(
-        self,
-        tokens: list[Token],
-        trace: Trace,
-        guard: ResourceGuard,
-        cfg: ResilienceConfig,
-        prior: list[DegradationReport] | None = None,
-    ) -> ExtractionResult:
-        """Parse/merge rungs of the ladder (shared with token-level entry)."""
-        try:
-            parse, report = self._parse_and_merge(tokens, trace, guard)
-        except Exception as exc:
-            trace.outcome = "ok"
-            return self._ladder_fallback(
-                tokens, trace, guard, cfg,
-                f"stage raised {type(exc).__name__}: {exc}",
-                prior=prior,
-            )
-        reports = list(prior or [])
-        reports += [
-            DegradationReport(
-                level=LEVEL_CAPPED,
-                stage=event.stage,
-                reason=event.describe(),
-                resource=event.resource,
-            )
-            for event in guard.events
-        ]
-        if parse.stats.truncated and not reports:
-            reports.append(
+            failure = f"stage raised {type(exc).__name__}: {exc}"
+        if tokens is None:
+            tokens = []
+        if ladder is None:
+            reports = []  # without a ladder, caps are span tags only
+        else:
+            reports += [
                 DegradationReport(
-                    level=LEVEL_CAPPED,
-                    stage="parse",
-                    reason="parser budget truncated the fix-point; "
-                    "best partial parses kept",
+                    LEVEL_CAPPED, event.stage, event.describe(), event.resource
                 )
+                for event in guard.events
+            ]
+            if failure is None:
+                if not reports and stats is not None and stats.truncated:
+                    reports.append(DegradationReport(
+                        LEVEL_CAPPED, "parse",
+                        "parser budget truncated the fix-point; "
+                        "best partial parses kept",
+                    ))
+                if reports and not model.conditions and tokens:
+                    # A cap that left nothing behind is a failure in
+                    # disguise -- step down rather than hand back an empty
+                    # "capped" model.
+                    failure = "budget-capped parse produced no conditions"
+            if failure is not None:
+                model = self._fall_back(ladder, tokens, stage, failure, reports)
+                # The model no longer comes from the parse: drop its trees
+                # and counters with it.
+                parse, report, stats = None, None, None
+        if parse is None:  # a replay or a fallback: no trees, no instances
+            if stats is None:
+                stats = ParseStats(tokens=len(tokens))
+            parse = ParseResult(
+                trees=[], tokens=tokens, instances=[], stats=stats
             )
-        if reports and not report.model.conditions and tokens:
-            # A cap that left nothing behind is a failure in disguise --
-            # step down rather than hand back an empty "capped" model.
-            return self._ladder_fallback(
-                tokens, trace, guard, cfg,
-                "budget-capped parse produced no conditions",
-                prior=reports,
-            )
-        return self._finish_ladder(
-            report.model, parse, report, tokens, trace, guard, reports
-        )
-
-    def _ladder_fallback(
-        self,
-        tokens: list[Token],
-        trace: Trace,
-        guard: ResourceGuard,
-        cfg: ResilienceConfig,
-        reason: str,
-        prior: list[DegradationReport] | None = None,
-    ) -> ExtractionResult:
-        """Parse/merge gave nothing usable: step to heuristic, then minimal."""
-        reports = list(prior or [])
-        if cfg.heuristic_fallback:
-            try:
-                from repro.baseline.heuristic import HeuristicExtractor
-
-                model = HeuristicExtractor().extract_from_tokens(tokens)
-                reports.append(
-                    DegradationReport(LEVEL_HEURISTIC, "parse", reason)
-                )
-                return self._finish_ladder(
-                    model, None, None, tokens, trace, guard, reports
-                )
-            except Exception as heuristic_exc:
-                reports.append(
-                    DegradationReport(LEVEL_HEURISTIC, "parse", reason)
-                )
-                reports.append(
-                    self._stage_failure(
-                        LEVEL_MINIMAL, "heuristic", heuristic_exc
-                    )
-                )
-                return self._finish_ladder(
-                    token_dump_model(tokens), None, None, tokens, trace,
-                    guard, reports,
-                )
-        reports.append(DegradationReport(LEVEL_MINIMAL, "parse", reason))
-        return self._finish_ladder(
-            token_dump_model(tokens), None, None, tokens, trace, guard,
-            reports,
+        return self._finish(
+            trace, tokens, model, parse, report, reports, signature
         )
 
     @staticmethod
-    def _stage_failure(
-        level: str, stage: str, exc: Exception
-    ) -> DegradationReport:
-        return DegradationReport(
-            level=level,
-            stage=stage,
-            reason=f"stage raised {type(exc).__name__}: {exc}",
-        )
-
-    def _finish_ladder(
-        self,
-        model: SemanticModel,
-        parse: ParseResult | None,
-        report: MergeReport | None,
+    def _fall_back(
+        ladder: ResilienceConfig,
         tokens: list[Token],
-        trace: Trace,
-        guard: ResourceGuard,
+        stage: str,
+        reason: str,
         reports: list[DegradationReport],
+    ) -> SemanticModel:
+        """Step below ``capped``: the heuristic once tokens exist (when
+        allowed), else the token dump."""
+        if stage == "parse" and ladder.heuristic_fallback:
+            reports.append(DegradationReport(LEVEL_HEURISTIC, stage, reason))
+            try:
+                from repro.baseline.heuristic import HeuristicExtractor
+
+                return HeuristicExtractor().extract_from_tokens(tokens)
+            except Exception as exc:
+                stage = "heuristic"
+                reason = f"stage raised {type(exc).__name__}: {exc}"
+        reports.append(DegradationReport(LEVEL_MINIMAL, stage, reason))
+        return token_dump_model(tokens)
+
+    def _finish(
+        self,
+        trace: Trace,
+        tokens: list[Token],
+        model: SemanticModel,
+        parse: ParseResult,
+        report: MergeReport | None,
+        reports: list[DegradationReport],
+        signature: str | None,
     ) -> ExtractionResult:
-        """Assemble the result, surfacing every downgrade."""
-        if parse is None:
-            parse = ParseResult(
-                trees=[],
-                tokens=tokens,
-                instances=[],
-                stats=ParseStats(tokens=len(tokens)),
-            )
-        if report is None:
-            report = MergeReport(model=model)
+        """Assemble a fresh, replayed or degraded result and surface it:
+        warnings, metrics, the cache fill and one log event."""
         result = ExtractionResult(
             model=model,
             parse=parse,
-            report=report,
+            report=report if report is not None else MergeReport(model=model),
             tokens=tokens,
             trace=trace,
-            degradation=list(reports),
+            degradation=reports,
         )
         for entry in reports:
             trace.warn(entry.describe())
+        self.metrics.record_trace(trace)
         level = result.level
         if level != LEVEL_FULL:
             trace.tags["degrade.level"] = level
@@ -583,7 +471,24 @@ class FormExtractor:
                 tokens=len(tokens),
                 conditions=len(model.conditions),
             )
-        self.metrics.record_trace(trace)
+        elif trace.tags.get("cache_hit"):
+            log_event(
+                _logger, logging.DEBUG, "extract.cache_hit",
+                tokens=len(tokens),
+                conditions=len(model.conditions),
+            )
+        else:
+            if self.cache is not None and signature is not None:
+                self.cache.put(signature, CacheEntry.from_result(result))
+            log_event(
+                _logger, logging.DEBUG, "extract.complete",
+                tokens=len(tokens),
+                conditions=len(model.conditions),
+                conflicts=len(result.report.conflict_tokens),
+                missing=len(result.report.missing_tokens),
+                truncated=parse.stats.truncated,
+                seconds=round(trace.total_seconds, 6),
+            )
         return result
 
     # -- helpers ---------------------------------------------------------------------

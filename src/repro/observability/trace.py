@@ -1,14 +1,16 @@
 """Per-extraction traces: a list of timed, counted pipeline spans.
 
 A :class:`Trace` records one trip through the Figure-2 pipeline as a flat
-sequence of :class:`Span` s -- ``html-parse``, ``tokenize``,
-``parse.construct``, ``parse.maximize``, ``merge`` -- each carrying its
-wall-clock duration, integer counters (instances created, combos examined,
-conditions merged, ...), and string/bool tags (``truncated``,
-``form_fallback``).  Traces are plain data: picklable, JSON-serializable
-through :meth:`Trace.to_dict`, and cheap enough to record unconditionally.
+sequence of :class:`Span` s, one per stage that ran, in order --
+``html-parse``, ``layout``, ``tokenize``, ``cache`` (only with an
+extraction cache), ``parse.construct``, ``parse.maximize``, ``merge`` --
+each carrying its wall-clock duration, integer counters (instances
+created, combos examined, conditions merged, ...), and string/bool tags
+(``truncated``, ``depth_capped``).  Traces are plain data: picklable,
+JSON-serializable through :meth:`Trace.to_dict`, and cheap enough to
+record unconditionally.
 
-The span names used by the pipeline are listed in :data:`STAGE_NAMES`;
+The stage sequence is :class:`repro.extractor.FormExtractor`'s;
 ``docs/OBSERVABILITY.md`` documents the schema.
 """
 
@@ -18,16 +20,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
-
-#: Canonical pipeline stage names, in pipeline order.
-STAGE_NAMES = (
-    "html-parse",
-    "tokenize",
-    "parse.construct",
-    "parse.maximize",
-    "merge",
-)
-
 
 @dataclass
 class Span:

@@ -56,13 +56,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.batch.cpu import usable_cores
-from repro.batch.extractor import BatchExtractor, BatchRecord, _extract_one
-from repro.cache import (
-    CacheEntry,
-    ExtractionCache,
-    grammar_fingerprint,
-    html_signature,
+from repro.batch.extractor import (
+    BatchExtractor,
+    BatchRecord,
+    _extract_one,
+    _record_from_entry,
+    _signature_for,
 )
+from repro.cache import CacheEntry, ExtractionCache, grammar_fingerprint
 from repro.extractor import ExtractionResult, FormExtractor
 from repro.observability.logs import get_logger, log_event
 from repro.observability.metrics import MetricsRegistry
@@ -395,13 +396,7 @@ class ExtractionService:
             self.metrics.inc("serve.cache.misses")
             return None
         self.metrics.inc("serve.cache.hits")
-        record = BatchRecord(
-            index=0,
-            model=entry.rebuild_model(),
-            stats=entry.rebuild_stats(),
-            warnings=list(entry.warnings),
-            cached=True,
-        )
+        record = _record_from_entry(entry, 0)
         elapsed = time.perf_counter() - started
         self.metrics.observe("serve.latency.seconds", elapsed)
         return ServeResult(
@@ -635,9 +630,8 @@ class ExtractionService:
     def _signature(self, html: str, form_index: int) -> str | None:
         if self.cache is None:
             return None
-        try:
-            signature = html_signature(html)
-        except Exception:  # noqa: BLE001 - unsignable input: just no caching
+        signature = _signature_for("html", html)
+        if signature is None:
             return None
         # The generation prefix namespaces every key: bumping the
         # generation (grammar change, DELETE /cache) re-keys the whole

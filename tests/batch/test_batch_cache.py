@@ -114,13 +114,27 @@ class TestPooledCache:
         assert report.cache_hit_rate == 0.0
         assert report.dedupe_collapsed == 1
 
-    def test_serial_path_counts_token_level_hits(self):
-        report = BatchExtractor(jobs=1, cache=True).extract_html(
-            [_A, _B, _A]
-        )
+    @pytest.mark.parametrize("resilience", [False, True],
+                             ids=["plain", "ladder"])
+    def test_serial_path_counts_token_level_hits(self, resilience):
+        report = BatchExtractor(
+            jobs=1, cache=True, resilience=resilience
+        ).extract_html([_A, _B, _A])
         assert report.cache_misses == 2
         assert report.cache_hits == 1
         assert report.records[2].cached
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pooled"])
+    def test_degraded_records_are_not_cached(self, jobs):
+        deep = (
+            "<form>" + "<div>" * 5_000 + 'Title <input name="title">'
+            + "</div>" * 5_000 + "</form>"
+        )
+        with BatchExtractor(jobs=jobs, cache=True, resilience=True) as batch:
+            batch.extract_html([deep])
+            again = batch.extract_html([deep])
+        assert (again.cache_hits, again.cache_misses) == (0, 1)
+        assert again.records[0].trace["tags"]["degrade.level"] == "capped"
 
 
 class TestReportSurface:

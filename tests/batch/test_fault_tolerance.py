@@ -293,7 +293,7 @@ class TestErrorPathRecords:
         for record in report.records:
             names = [span["name"] for span in record.trace["spans"]]
             assert names == [
-                "html-parse", "tokenize", "parse.construct",
+                "html-parse", "layout", "tokenize", "parse.construct",
                 "parse.maximize", "merge",
             ]
 

@@ -142,7 +142,7 @@ class TestApiSurface:
     def test_trace_spans_cover_the_pipeline(self, extractor):
         detail = extractor.extract_detailed(QAM_HTML)
         assert [span.name for span in detail.trace.spans] == [
-            "html-parse", "tokenize", "parse.construct",
+            "html-parse", "layout", "tokenize", "parse.construct",
             "parse.maximize", "merge",
         ]
         construct = detail.trace.span_named("parse.construct")

@@ -2,9 +2,14 @@
 
 import pickle
 
+import pytest
+
+from repro.cache import ExtractionCache
 from repro.datasets.fixtures import QAM_HTML
+from repro.datasets.repository import standard_datasets
 from repro.extractor import FormExtractor
 from repro.observability.metrics import MetricsRegistry
+from repro.parser.parser import ParserConfig
 from repro.resilience.guard import ResourceLimits
 from repro.resilience.ladder import (
     LEVEL_CAPPED,
@@ -68,13 +73,26 @@ class TestConfig:
         assert report.describe() == "degraded to capped at parse: budget hit"
 
 
+#: QAM plus the first page of each dataset (a dataset's first page is the
+#: same at every scale).
+_CLEAN_PAGES = {"QAM": QAM_HTML} | {
+    name: next(iter(dataset)).html
+    for name, dataset in standard_datasets(scale=0.02).items()
+}
+
+
 class TestLadderLevels:
-    def test_clean_form_stays_full_and_identical(self):
-        plain = FormExtractor().extract_detailed(QAM_HTML)
-        resilient = FormExtractor(resilience=True).extract_detailed(QAM_HTML)
+    @pytest.mark.parametrize("html", _CLEAN_PAGES.values(), ids=_CLEAN_PAGES)
+    def test_clean_form_stays_full_and_identical(self, html):
+        plain = FormExtractor().extract_detailed(html)
+        resilient = FormExtractor(resilience=True).extract_detailed(html)
         assert resilient.level == LEVEL_FULL
         assert resilient.degradation == []
         assert model_to_dict(resilient.model) == model_to_dict(plain.model)
+        assert (
+            resilient.parse.stats.counters() == plain.parse.stats.counters()
+        )
+        assert resilient.warnings == plain.warnings
 
     def test_deep_nesting_degrades_to_capped(self):
         result = FormExtractor(resilience=True).extract_resilient(_deep_form())
@@ -87,6 +105,27 @@ class TestLadderLevels:
             "title" in condition.fields
             for condition in result.model.conditions
         )
+
+    def test_capped_results_are_not_cached(self):
+        # A zero deadline caps the stages before the cache (which is then
+        # never read); a parser budget caps the parse after a cache miss.
+        cache = ExtractionCache()
+        zero_deadline = ResilienceConfig(
+            limits=ResourceLimits(deadline_seconds=0.0)
+        )
+        budgeted = FormExtractor(
+            cache=cache, parser_config=ParserConfig(max_instances=100)
+        )
+        capped = [
+            FormExtractor(cache=cache).extract_resilient(
+                QAM_HTML, config=zero_deadline
+            ),
+            budgeted.extract_resilient(QAM_HTML),
+        ]
+        assert [result.level for result in capped] == [LEVEL_CAPPED] * 2
+        assert capped[0].trace.span_named("cache") is None
+        assert capped[1].trace.span_named("cache").counters == {"hit": 0}
+        assert len(cache) == 0
 
     def test_zero_deadline_yields_capped_empty_model(self):
         # With no time at all even tokenization is capped to nothing;
@@ -126,6 +165,23 @@ class TestLadderLevels:
         assert result.model.conditions
         assert any("boom" in entry.reason for entry in result.degradation)
 
+    def test_layout_crash_steps_straight_to_minimal(self, monkeypatch):
+        # Without tokens there is nothing for the heuristic to run on.
+        monkeypatch.setattr(
+            "repro.extractor.layout_document",
+            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+        )
+        result = FormExtractor(resilience=True).extract_resilient(QAM_HTML)
+        assert result.level == LEVEL_MINIMAL
+        assert result.model.conditions == []
+        assert [(e.level, e.stage) for e in result.degradation] == [
+            (LEVEL_MINIMAL, "layout")
+        ]
+        assert result.trace.span_named("layout").tags == {
+            "error": "RuntimeError"
+        }
+        assert result.trace.outcome == "ok"
+
     def test_minimal_when_heuristic_disabled(self, monkeypatch):
         extractor = FormExtractor(
             resilience=ResilienceConfig(heuristic_fallback=False)
@@ -159,6 +215,22 @@ class TestObservability:
         assert result.trace.tags["degrade.level"] == result.level
         counters = registry.to_dict()["counters"]
         assert counters[f"degrade.{result.level}"] == 1
+
+    def test_plain_path_tags_the_depth_cap(self):
+        result = FormExtractor().extract_detailed(_deep_form())
+        span = result.trace.span_named("html-parse")
+        assert span.tags["depth_capped"] is True
+        assert result.degradation == []
+
+    def test_layout_truncation_tags_the_layout_span(self):
+        result = FormExtractor().extract_resilient(
+            QAM_HTML,
+            config=ResilienceConfig(
+                limits=ResourceLimits(deadline_seconds=0.0)
+            ),
+        )
+        assert result.trace.span_named("layout").tags == {"truncated": True}
+        assert "layout" in {entry.stage for entry in result.degradation}
 
     def test_full_level_leaves_no_degrade_signal(self):
         registry = MetricsRegistry()

@@ -53,10 +53,12 @@ class TestExtract:
         assert main(["extract", str(path)]) == 0
         assert "no <form> element" in capsys.readouterr().err
 
-    def test_log_json_emits_json_lines(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [[], ["--resilient"]],
+                             ids=["plain", "ladder"])
+    def test_log_json_emits_json_lines(self, tmp_path, capsys, flags):
         path = tmp_path / "bare.html"
         path.write_text("<html><body>Query: <input name=q></body></html>")
-        assert main(["--log-json", "extract", str(path)]) == 0
+        assert main(["--log-json", "extract", str(path), *flags]) == 0
         err = capsys.readouterr().err
         json_lines = [
             json.loads(line) for line in err.splitlines()
@@ -127,14 +129,17 @@ class TestEvaluate:
 
 
 class TestCacheFlags:
+    @pytest.mark.parametrize("flags", [[], ["--resilient"]],
+                             ids=["plain", "ladder"])
     def test_extract_with_cache_dir_persists_across_runs(
-        self, qam_file, tmp_path, capsys
+        self, qam_file, tmp_path, capsys, flags
     ):
         cache_dir = str(tmp_path / "cache")
-        assert main(["extract", qam_file, "--cache-dir", cache_dir]) == 0
+        argv = ["extract", qam_file, "--cache-dir", cache_dir, *flags]
+        assert main(argv) == 0
         first = capsys.readouterr().out
         assert (tmp_path / "cache" / "extraction-cache.jsonl").exists()
-        assert main(["extract", qam_file, "--cache-dir", cache_dir]) == 0
+        assert main(argv) == 0
         assert capsys.readouterr().out == first
 
     def test_extract_cache_flag_accepted(self, qam_file, capsys):
