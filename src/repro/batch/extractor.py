@@ -15,13 +15,15 @@ throughput scales with cores.  :class:`BatchExtractor` fans tokenized forms
 * **Ordered results** -- :meth:`BatchExtractor.iter_tokens` /
   :meth:`iter_html` yield one :class:`BatchRecord` per input, in input
   order, as they become available.
-* **Serial fallback** -- ``jobs=1`` (the default) runs everything in the
-  calling process with no executor, byte-identical to a plain
-  :class:`FormExtractor` loop.  The serial path builds its own local
-  extractor; the module-global worker state is strictly worker-side, so
-  nested or concurrent batches in one process never clobber each other.
-* **Content-addressed dedupe and caching** -- before dispatching, the
-  pooled path hashes every input (:func:`~repro.cache.html_signature` /
+* **A pool of one** -- ``jobs=1`` (the default) dispatches through the
+  same loop to an in-process executor that runs each form at once, in
+  the calling thread, on the batch's own local extractor.  Models are
+  those of a plain :class:`FormExtractor` loop; dedupe, the cache,
+  retries and the journal behave exactly as pooled.  The module-global
+  worker state is strictly worker-side, so nested or concurrent batches
+  in one process never clobber each other.
+* **Content-addressed dedupe and caching** -- before dispatching, every
+  run hashes every input (:func:`~repro.cache.html_signature` /
   :func:`~repro.cache.token_signature`) and collapses duplicates: one
   *leader* per distinct signature is extracted, its result replicated to
   the followers (fresh deserialized models, replayed stats -- aggregate
@@ -34,9 +36,10 @@ throughput scales with cores.  :class:`BatchExtractor` fans tokenized forms
   where available and persists across ``extract_*`` calls, so workers
   (and their grammar/schedule, pre-warmed in the parent before the first
   fork) are paid for once per :class:`BatchExtractor`, not once per
-  batch.  Worker counts are clamped to :func:`~repro.batch.cpu.
-  usable_cores` unless ``oversubscribe=True``; ``jobs="auto"`` sizes the
-  pool to the usable cores directly.
+  batch; :meth:`BatchExtractor.warm` forks them up front.  Worker counts
+  are clamped to :func:`~repro.batch.cpu.usable_cores` unless
+  ``oversubscribe=True``; ``jobs="auto"`` sizes the pool to the usable
+  cores directly.
 
 A worker never lets one bad form poison the batch: per-form failures come
 back as records with ``error`` set (best-effort at the batch level, just
@@ -70,7 +73,7 @@ import multiprocessing
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -88,6 +91,7 @@ from repro.cache import (
 from repro.extractor import ExtractionResult, FormExtractor
 from repro.grammar.grammar import TwoPGrammar
 from repro.observability.logs import get_logger, log_event
+from repro.observability.trace import Trace
 from repro.parser.parser import ParserConfig, ParseStats
 from repro.resilience.guard import BudgetExceeded, ResourceGuard, ResourceLimits
 from repro.resilience.ladder import ResilienceConfig
@@ -417,9 +421,9 @@ class BatchStream(Iterator[BatchRecord]):
 #
 # Everything the pool touches must be picklable by reference: module-level
 # functions only, with per-worker state in a module global set up by the
-# initializer.  The global is strictly worker-side: the serial (jobs=1)
-# path builds a local extractor instead, so it cannot clobber state for a
-# nested or concurrent batch in the same process.
+# initializer.  The global is strictly worker-side: the in-process (jobs=1)
+# executor runs on a local extractor instead, so it cannot clobber state
+# for a nested or concurrent batch in the same process.
 
 _worker_extractor: FormExtractor | None = None
 
@@ -602,13 +606,36 @@ def _extract_chunk(
     kind: str,
     chunk: list[tuple[int, Any]],
     timeout: float | None,
+    extractor: FormExtractor | None = None,
 ) -> list[BatchRecord]:
-    """Worker entry point: run one chunk of (index, payload) jobs."""
-    extractor = _require_worker_extractor()
+    """Worker entry point: run one chunk of (index, payload) jobs on the
+    worker's extractor (or on *extractor*, in process)."""
+    extractor = extractor or _require_worker_extractor()
     return [
         _extract_one(extractor, kind, index, payload, timeout)
         for index, payload in chunk
     ]
+
+
+class _InProcessExecutor(Executor):
+    """The ``jobs=1`` pool of one: the calling process is its worker.
+
+    :meth:`submit` runs the chunk at once, in the calling thread, on the
+    batch's own extractor (never the worker global) and returns a finished
+    future.  The calling thread keeps the ``SIGALRM`` watchdog armable.
+    """
+
+    def __init__(self, extractor: FormExtractor):
+        extractor.warmup()  # what a pool worker's initializer does
+        self._extractor = extractor
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, extractor=self._extractor, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - delivered like a worker's
+            future.set_exception(exc)
+        return future
 
 
 # -- dedupe / cache helpers ---------------------------------------------------------
@@ -632,14 +659,29 @@ def _signature_for(kind: str, payload: Any) -> str | None:
 
 
 def _record_from_entry(entry: CacheEntry, index: int) -> BatchRecord:
-    """A batch record served from the extraction cache (fresh objects)."""
+    """A batch record served from the extraction cache (fresh objects),
+    traced like the extractor's own replay: one ``cache`` span."""
+    trace = Trace(tags={"cache_hit": True}, warnings=list(entry.warnings))
+    trace.add_span("cache", 0.0, counters={"hit": 1})
     return BatchRecord(
         index=index,
         model=entry.rebuild_model(),
         stats=entry.rebuild_stats(),
         warnings=list(entry.warnings),
+        trace=trace.to_dict(),
         cached=True,
     )
+
+
+def _cache_record(cache: ExtractionCache, signature: str, record: BatchRecord) -> None:
+    """Store *record* under *signature*, if it may answer later lookups:
+    as in the extractor, only ok, ``full``-level records are stored."""
+    tags = (record.trace or {}).get("tags", {})
+    if record.ok and record.model is not None and "degrade.level" not in tags:
+        cache.put(
+            signature,
+            CacheEntry.from_parts(record.model, record.stats, record.warnings),
+        )
 
 
 def _replicate_record(record: BatchRecord, index: int) -> BatchRecord:
@@ -672,9 +714,10 @@ class BatchExtractor:
     """Extract many forms, optionally in parallel worker processes.
 
     Args:
-        jobs: Worker process count.  ``1`` (default) runs serially in the
-            calling process -- identical behavior and results to looping a
-            :class:`FormExtractor` by hand.  ``"auto"`` sizes the pool to
+        jobs: Worker process count.  ``1`` (default) runs one form at a
+            time in the calling process -- the models of a
+            :class:`FormExtractor` loop, with dedupe and the cache as
+            pooled.  ``"auto"`` sizes the pool to
             :func:`~repro.batch.cpu.usable_cores`.  Pooled runs clamp the
             actual worker count to the usable cores (see *oversubscribe*);
             ``jobs`` itself is still reported unchanged.
@@ -802,7 +845,7 @@ class BatchExtractor:
             else None
         )
         self._serial_extractor: FormExtractor | None = None
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: Executor | None = None
         self._pool_workers = 0
 
     # -- lifecycle ----------------------------------------------------------------
@@ -815,19 +858,20 @@ class BatchExtractor:
             self._pool_workers = 0
 
     def warm(self) -> int:
-        """Build the persistent pool (or the serial extractor) *now*.
+        """Build the executor and start every worker *now*.
 
         Long-lived callers -- the serving tier above all -- pay the fork
         and grammar/schedule warm-up once at startup instead of on the
-        first request.  Returns the number of pooled workers standing by
-        (0 for ``jobs=1``, where the warmed object is the in-process
-        extractor instead).
+        first request.  A process pool forks on demand, so one empty
+        chunk per worker is submitted and awaited.  Returns the number of
+        workers standing by (for ``jobs=1``, the calling process).
         """
-        if self.jobs == 1:
-            self._local_extractor().warmup()
-            return 0
         workers = self._effective_workers()
-        self._get_pool(workers)
+        pool = self._get_pool(workers)
+        for future in [
+            pool.submit(_extract_chunk, "custom", [], None) for _ in range(workers)
+        ]:
+            future.result()  # a worker that cannot start raises here
         return workers
 
     def submit_custom(
@@ -856,14 +900,9 @@ class BatchExtractor:
         when a worker died); after :meth:`close`, the next submission
         transparently rebuilds the pool.
 
-        Requires ``jobs >= 2``: the serial extractor is not a pool and
-        has no executor to bridge to.
+        With ``jobs=1`` the job runs before this returns, in the calling
+        thread, and the future comes back finished.
         """
-        if self.jobs == 1:
-            raise RuntimeError(
-                "submit_custom requires a pooled extractor (jobs >= 2); "
-                "run serial work through extract_custom instead"
-            )
         pool = self._get_pool(self._effective_workers())
         inner = pool.submit(
             _extract_chunk, "custom", [(0, (job_fn, item))],
@@ -939,30 +978,152 @@ class BatchExtractor:
     def _iter(
         self, items: list, kind: str, info: _RunInfo
     ) -> Iterator[BatchRecord]:
+        """The one loop from inputs to ordered records, for every ``jobs``."""
         # Generator body: nothing runs until the first record is pulled,
         # and that is exactly when the wall clock starts.
         info.started = time.perf_counter()
         try:
-            jobs = list(enumerate(items))
-            keys, resumed = self._resolve_journal(jobs, kind, info)
-            source = (
-                self._iter_serial(jobs, kind, info, resumed)
-                if self.jobs == 1
-                else self._iter_pool(jobs, kind, info, resumed)
-            )
-            for record in source:
-                # Checkpointing is centralized here -- every final record
-                # crosses this yield, whichever path produced it.
-                if self._journal is not None and not record.resumed:
-                    self._journal.append(
-                        keys[record.index], record.to_payload()
+            signatures = [_signature_for(kind, payload) for payload in items]
+            keys, resumed = self._resolve_journal(signatures, info)
+            payloads = dict(enumerate(items))
+            attempts = {index: 0 for index in payloads}
+            results: dict[int, BatchRecord] = dict(resumed)
+            remaining = set(payloads) - results.keys()
+            next_emit = 0
+
+            # -- dedupe / cache plan: hash inputs before any dispatch ----
+            #
+            # The first input with a given signature is its group's
+            # *leader*; later duplicates are *followers*, held back (never
+            # dispatched) until the leader's record is final, then served a
+            # replica of it.  Cached signatures short-circuit the whole
+            # group.  Unsignable payloads (custom jobs, inputs the hasher
+            # chokes on) stay individual dispatches.
+            followers_of: dict[int, list[int]] = {}
+            held: set[int] = set()
+            leader_by_sig: dict[str, int] = {}
+            for index in sorted(remaining):
+                sig = signatures[index]
+                if sig is None:
+                    continue
+                leader = leader_by_sig.setdefault(sig, index)
+                if leader != index:
+                    followers_of.setdefault(leader, []).append(index)
+                    held.add(index)
+                    info.dedupe_collapsed += 1
+            # One lookup per distinct signed input.  A leader that misses
+            # here is counted when its record is final: the extractor's own
+            # token-level cache may still answer it.
+            looked_up: set[int] = set()
+            if self.cache is not None:
+                for sig, leader in leader_by_sig.items():
+                    entry = self.cache.get(sig)
+                    if entry is None:
+                        looked_up.add(leader)
+                        continue
+                    info.cache_hits += 1
+                    results[leader] = _record_from_entry(entry, leader)
+                    remaining.discard(leader)
+                    for follower in followers_of.pop(leader, ()):
+                        held.discard(follower)
+                        replica = _record_from_entry(entry, follower)
+                        replica.deduped = True
+                        results[follower] = replica
+                        remaining.discard(follower)
+
+            def emit_ready() -> Iterator[BatchRecord]:
+                nonlocal next_emit
+                while next_emit in results:
+                    record = results.pop(next_emit)
+                    # Checkpointing is centralized here -- every final
+                    # record crosses this yield, however it was produced.
+                    if self._journal is not None and not record.resumed:
+                        self._journal.append(
+                            keys[record.index], record.to_payload()
+                        )
+                    yield record
+                    next_emit += 1
+
+            def finalize(record: BatchRecord) -> bool:
+                """Account one attempt; True when the record is final."""
+                index = record.index
+                attempts[index] += 1
+                record.attempts = attempts[index]
+                if record.error is not None and attempts[index] <= self.retries:
+                    self._backoff(attempts[index], index, record.error)
+                    return False
+                results[index] = record
+                remaining.discard(index)
+                if (record.trace or {}).get("tags", {}).get("cache_hit"):
+                    record.cached = True  # the extractor's token-level cache answered
+                if index in looked_up:
+                    if record.cached:
+                        info.cache_hits += 1
+                    else:
+                        info.cache_misses += 1
+                sig = signatures[index]
+                if sig is not None and self.cache is not None:
+                    _cache_record(self.cache, sig, record)
+                for follower in followers_of.pop(index, ()):
+                    held.discard(follower)
+                    if record.ok:
+                        # Extraction is deterministic: replay the leader's
+                        # outcome (fresh model, replayed stats).
+                        results[follower] = _replicate_record(record, follower)
+                        remaining.discard(follower)
+                    # A failed leader promotes its followers to individual
+                    # dispatch on the next round instead of copying an
+                    # error that may have been environmental (timeout,
+                    # crash).
+                return True
+
+            yield from emit_ready()
+            # jobs=1 is a pool of one: one form in flight, so records stay
+            # lazy, and isolation is never a degradation there.
+            in_process = self.jobs == 1
+            while remaining:
+                isolated = (
+                    not in_process
+                    and info.pool_restarts >= self.max_pool_restarts
+                )
+                if isolated and not info.degraded:
+                    info.degraded = True
+                    log_event(
+                        _logger, logging.WARNING, "batch.degraded_isolation",
+                        pool_restarts=info.pool_restarts,
+                        unresolved=len(remaining),
                     )
-                yield record
+                workers = 1 if isolated else self._effective_workers()
+                pool = self._get_pool(workers)
+                try:
+                    runner = (
+                        self._run_isolated(
+                            pool, kind, payloads, remaining, finalize, info
+                        )
+                        if isolated or in_process
+                        else self._run_pooled(
+                            pool, workers, kind, payloads, remaining, held,
+                            finalize,
+                        )
+                    )
+                    for _ in runner:
+                        yield from emit_ready()
+                except BrokenProcessPool:
+                    info.pool_restarts += 1
+                    self.close()
+                    log_event(
+                        _logger, logging.WARNING, "batch.pool_died",
+                        pool_restarts=info.pool_restarts,
+                        unresolved=len(remaining),
+                        degrading=info.pool_restarts >= self.max_pool_restarts,
+                    )
+                yield from emit_ready()
+            yield from emit_ready()
         finally:
             info.finished = time.perf_counter()
 
     def _resolve_journal(
-        self, jobs: list[tuple[int, Any]], kind: str, info: _RunInfo
+        self, signatures: list[str | None], info: _RunInfo
     ) -> tuple[dict[int, str], dict[int, BatchRecord]]:
         """Journal keys for every input, plus resume-replayed records.
 
@@ -972,8 +1133,8 @@ class BatchExtractor:
         if self._journal is None:
             return {}, {}
         keys = {
-            index: job_key(index, _signature_for(kind, payload))
-            for index, payload in jobs
+            index: job_key(index, signature)
+            for index, signature in enumerate(signatures)
         }
         resumed: dict[int, BatchRecord] = {}
         if self.resume:
@@ -991,11 +1152,9 @@ class BatchExtractor:
                     _logger, logging.INFO, "batch.resume",
                     skipped=len(resumed),
                     corrupt_lines=self._journal.corrupt_lines,
-                    total=len(jobs),
+                    total=len(signatures),
                 )
         return keys, resumed
-
-    # -- serial path --------------------------------------------------------------
 
     def _local_extractor(self) -> FormExtractor:
         """The in-process extractor for ``jobs=1`` (never the worker global)."""
@@ -1005,178 +1164,6 @@ class BatchExtractor:
                 self.resilience,
             )
         return self._serial_extractor
-
-    def _iter_serial(
-        self,
-        jobs: list[tuple[int, Any]],
-        kind: str,
-        info: _RunInfo,
-        resumed: dict[int, BatchRecord] | None = None,
-    ) -> Iterator[BatchRecord]:
-        extractor = self._local_extractor()
-        resumed = resumed or {}
-        for index, payload in jobs:
-            replay = resumed.get(index)
-            if replay is not None:
-                yield replay
-                continue
-            attempts = 0
-            while True:
-                attempts += 1
-                record = _extract_one(
-                    extractor, kind, index, payload, self.timeout
-                )
-                record.attempts = attempts
-                if record.ok or attempts > self.retries:
-                    break
-                self._backoff(attempts, index, record.error)
-            if self.cache is not None and record.ok:
-                # The local extractor caches at the token level; its trace
-                # tag is the per-record hit signal.
-                if (record.trace or {}).get("tags", {}).get("cache_hit"):
-                    record.cached = True
-                    info.cache_hits += 1
-                else:
-                    info.cache_misses += 1
-            yield record
-
-    # -- pooled path --------------------------------------------------------------
-
-    def _iter_pool(
-        self,
-        jobs: list[tuple[int, Any]],
-        kind: str,
-        info: _RunInfo,
-        resumed: dict[int, BatchRecord] | None = None,
-    ) -> Iterator[BatchRecord]:
-        payloads = dict(jobs)
-        attempts = {index: 0 for index in payloads}
-        results: dict[int, BatchRecord] = dict(resumed or {})
-        remaining = set(payloads) - results.keys()
-        next_emit = 0
-
-        # -- dedupe / cache plan: hash inputs before any dispatch --------
-        #
-        # The first input with a given signature is its group's *leader*;
-        # later duplicates are *followers*, held back (never dispatched)
-        # until the leader's record is final, then served a replica of it.
-        # Cached signatures short-circuit the whole group.  Unsignable
-        # payloads (custom jobs, inputs the hasher chokes on) stay
-        # individual dispatches.
-        signatures: dict[int, str] = {}
-        followers_of: dict[int, list[int]] = {}
-        held: set[int] = set()
-        if kind in ("html", "tokens"):
-            leader_by_sig: dict[str, int] = {}
-            for index in sorted(payloads):
-                if index not in remaining:
-                    continue  # resumed from the journal: never dispatched
-                sig = _signature_for(kind, payloads[index])
-                if sig is None:
-                    continue
-                signatures[index] = sig
-                leader = leader_by_sig.get(sig)
-                if leader is None:
-                    leader_by_sig[sig] = index
-                else:
-                    followers_of.setdefault(leader, []).append(index)
-                    held.add(index)
-                    info.dedupe_collapsed += 1
-            if self.cache is not None:
-                for sig, leader in leader_by_sig.items():
-                    entry = self.cache.get(sig)
-                    if entry is None:
-                        info.cache_misses += 1
-                        continue
-                    info.cache_hits += 1
-                    results[leader] = _record_from_entry(entry, leader)
-                    remaining.discard(leader)
-                    for follower in followers_of.pop(leader, ()):
-                        held.discard(follower)
-                        replica = _record_from_entry(entry, follower)
-                        replica.deduped = True
-                        results[follower] = replica
-                        remaining.discard(follower)
-
-        def emit_ready() -> Iterator[BatchRecord]:
-            nonlocal next_emit
-            while next_emit in results:
-                yield results.pop(next_emit)
-                next_emit += 1
-
-        def finalize(record: BatchRecord) -> bool:
-            """Account one attempt; True when the record is final."""
-            index = record.index
-            attempts[index] += 1
-            record.attempts = attempts[index]
-            if record.error is not None and attempts[index] <= self.retries:
-                self._backoff(attempts[index], index, record.error)
-                return False
-            results[index] = record
-            remaining.discard(index)
-            sig = signatures.get(index)
-            if (
-                record.ok
-                and sig is not None
-                and self.cache is not None
-                and not record.cached
-                # As in the extractor: only full-level records are stored.
-                and "degrade.level" not in (record.trace or {}).get("tags", {})
-            ):
-                self.cache.put(
-                    sig,
-                    CacheEntry.from_parts(
-                        record.model, record.stats, record.warnings
-                    ),
-                )
-            for follower in followers_of.pop(index, ()):
-                held.discard(follower)
-                if record.ok:
-                    # Extraction is deterministic: replay the leader's
-                    # outcome (fresh model, replayed stats).
-                    results[follower] = _replicate_record(record, follower)
-                    remaining.discard(follower)
-                # A failed leader promotes its followers to individual
-                # dispatch on the next round instead of copying an error
-                # that may have been environmental (timeout, crash).
-            return True
-
-        yield from emit_ready()
-        while remaining:
-            isolated = info.pool_restarts >= self.max_pool_restarts
-            if isolated and not info.degraded:
-                info.degraded = True
-                log_event(
-                    _logger, logging.WARNING, "batch.degraded_isolation",
-                    pool_restarts=info.pool_restarts,
-                    unresolved=len(remaining),
-                )
-            workers = 1 if isolated else self._effective_workers()
-            pool = self._get_pool(workers)
-            try:
-                runner = (
-                    self._run_isolated(
-                        pool, kind, payloads, remaining, finalize, info
-                    )
-                    if isolated
-                    else self._run_pooled(
-                        pool, workers, kind, payloads, remaining, held,
-                        finalize,
-                    )
-                )
-                for _ in runner:
-                    yield from emit_ready()
-            except BrokenProcessPool:
-                info.pool_restarts += 1
-                self.close()
-                log_event(
-                    _logger, logging.WARNING, "batch.pool_died",
-                    pool_restarts=info.pool_restarts,
-                    unresolved=len(remaining),
-                    degrading=info.pool_restarts >= self.max_pool_restarts,
-                )
-            yield from emit_ready()
-        yield from emit_ready()
 
     def _effective_workers(self) -> int:
         """Pooled worker count: ``jobs`` clamped to the usable cores.
@@ -1189,18 +1176,24 @@ class BatchExtractor:
             return self.jobs
         return max(1, min(self.jobs, usable_cores()))
 
-    def _get_pool(self, workers: int) -> ProcessPoolExecutor:
-        """The persistent worker pool, (re)built only when needed.
+    def _get_pool(self, workers: int) -> Executor:
+        """The persistent executor, (re)built only when needed.
 
-        Reusing the pool across ``extract_*`` calls keeps workers -- and
-        their initialized grammar, schedule, and cache -- warm.  Where the
+        ``jobs=1`` gets the in-process executor.  Otherwise, reusing the
+        pool across ``extract_*`` calls keeps workers -- and their
+        initialized grammar, schedule, and cache -- warm.  Where the
         platform offers the ``fork`` start method, the parent pre-builds
         the grammar and schedule first, so workers inherit the warmed
         caches through copy-on-write instead of rebuilding them.
         """
         if self._pool is not None and self._pool_workers != workers:
             self.close()
-        if self._pool is None:
+        if self._pool is not None:
+            return self._pool
+        self._pool_workers = workers
+        if self.jobs == 1:
+            self._pool = _InProcessExecutor(self._local_extractor())
+        else:
             mp_context = None
             if "fork" in multiprocessing.get_all_start_methods():
                 mp_context = multiprocessing.get_context("fork")
@@ -1223,7 +1216,6 @@ class BatchExtractor:
                     self.resilience,
                 ),
             )
-            self._pool_workers = workers
         return self._pool
 
     def _worker_cache_spec(self) -> CacheSpec:
@@ -1248,7 +1240,7 @@ class BatchExtractor:
 
     def _run_pooled(
         self,
-        pool: ProcessPoolExecutor,
+        pool: Executor,
         workers: int,
         kind: str,
         payloads: dict[int, Any],
@@ -1300,18 +1292,18 @@ class BatchExtractor:
 
     def _run_isolated(
         self,
-        pool: ProcessPoolExecutor,
+        pool: Executor,
         kind: str,
         payloads: dict[int, Any],
         remaining: set[int],
         finalize: Callable[[BatchRecord], bool],
         info: _RunInfo,
     ) -> Iterator[None]:
-        """Degraded mode: one worker, one form in flight.
+        """One worker, one form in flight: ``jobs=1`` and degraded mode.
 
-        A pool death now identifies its culprit exactly -- that form is
-        recorded as a ``WorkerCrash`` error (or retried, if attempts
-        remain) on a rebuilt pool, and the batch marches on.
+        In degraded mode a pool death identifies its culprit exactly --
+        that form is recorded as a ``WorkerCrash`` error (or retried, if
+        attempts remain) on a rebuilt pool, and the batch marches on.
 
         Dedupe followers need no special handling here: a follower's
         index is always greater than its leader's, so by the time the

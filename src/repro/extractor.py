@@ -403,8 +403,8 @@ class FormExtractor:
             if failure is not None:
                 model = self._fall_back(ladder, tokens, stage, failure, reports)
                 # The model no longer comes from the parse: drop its trees
-                # and counters with it.
-                parse, report, stats = None, None, None
+                # and merge report, but keep the counters of the work done.
+                parse, report = None, None
         if parse is None:  # a replay or a fallback: no trees, no instances
             if stats is None:
                 stats = ParseStats(tokens=len(tokens))

@@ -11,7 +11,8 @@ tier.  One request flows through::
          │within share
     admission (queue depth / deadline projection) ──shed──► 429
          │admit
-    fork-warmed pool (jobs >= 2) or in-process worker thread (jobs = 1)
+    BatchExtractor.submit_custom: fork-warmed pool (jobs >= 2), or its
+    in-process executor on one worker thread (jobs = 1)
          │
     per-request degradation ladder (deadline → capped/heuristic/minimal)
          │
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import itertools
 import logging
 import math
@@ -59,11 +61,11 @@ from repro.batch.cpu import usable_cores
 from repro.batch.extractor import (
     BatchExtractor,
     BatchRecord,
-    _extract_one,
+    _cache_record,
     _record_from_entry,
     _signature_for,
 )
-from repro.cache import CacheEntry, ExtractionCache, grammar_fingerprint
+from repro.cache import ExtractionCache, grammar_fingerprint
 from repro.extractor import ExtractionResult, FormExtractor
 from repro.observability.logs import get_logger, log_event
 from repro.observability.metrics import MetricsRegistry
@@ -165,20 +167,15 @@ class ExtractionService:
             self.cache = ExtractionCache(
                 capacity=self.config.cache_capacity, path=cache_path
             )
-        self._batch: BatchExtractor | None = (
-            BatchExtractor(jobs=self.workers) if self.workers > 1 else None
+        self._batch = BatchExtractor(jobs=self.workers)
+        # jobs=1 extracts in this process, so it still leaves the event
+        # loop: one worker thread, where the ladder's cooperative deadline
+        # bounds each request.
+        self._thread: ThreadPoolExecutor | None = (
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
+            if self.workers == 1
+            else None
         )
-        self._serial: FormExtractor | None = None
-        self._thread: ThreadPoolExecutor | None = None
-        if self.workers == 1:
-            # Extraction still leaves the event loop (one worker thread);
-            # the ladder's cooperative deadline bounds each request.  The
-            # extractor gets a throwaway registry -- traces are folded
-            # into the service registry centrally, like pooled records.
-            self._serial = FormExtractor(metrics=MetricsRegistry())
-            self._thread = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve"
-            )
         self._inflight = 0
         self._draining = False
         self._idle = asyncio.Event()
@@ -244,11 +241,7 @@ class ExtractionService:
 
     def warm(self) -> int:
         """Fork and warm the worker pool now; returns the worker count."""
-        if self._batch is not None:
-            return self._batch.warm() or self.workers
-        assert self._serial is not None  # jobs=1: the extractor is the warm state
-        self._serial.warmup()
-        return 1
+        return self._batch.warm()
 
     @property
     def queue_depth(self) -> int:
@@ -308,8 +301,7 @@ class ExtractionService:
             )
         except asyncio.TimeoutError:
             drained = False
-        if self._batch is not None:
-            self._batch.close()
+        self._batch.close()
         if self._thread is not None:
             self._thread.shutdown(wait=drained, cancel_futures=True)
         log_event(
@@ -609,21 +601,20 @@ class ExtractionService:
         to inject :class:`BrokenProcessPool` and latency, exercising the
         *real* restart/breaker recovery above it.
         """
-        if self._batch is None:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._thread,
-                _extract_one,
-                self._serial, "custom", 0, (_serve_job, arg), None,
-            )
-        return await asyncio.wrap_future(
-            self._batch.submit_custom(_serve_job, arg, timeout=watchdog)
+        submit = functools.partial(
+            self._batch.submit_custom, _serve_job, arg, timeout=watchdog
         )
+        if self._thread is None:
+            future = submit()
+        else:  # jobs=1: the submission itself runs the extraction
+            future = await asyncio.get_running_loop().run_in_executor(
+                self._thread, submit
+            )
+        return await asyncio.wrap_future(future)
 
     def _restart_workers(self) -> None:
         """Tear down a broken pool so the next submit re-forks it."""
-        if self._batch is not None:
-            self._batch.close()
+        self._batch.close()
 
     # -- accounting ---------------------------------------------------------------
 
@@ -652,22 +643,11 @@ class ExtractionService:
                 result.request_id
             )
             self.metrics.record_trace(record.trace)
+        level = result.degrade_level
         if not record.ok:
             self.metrics.inc("serve.errors")
-            return
-        level = result.degrade_level
-        if level != LEVEL_FULL:
+        elif level != LEVEL_FULL:
             self.metrics.inc("serve.degraded")
             self.metrics.inc(f"degrade.{level}")
-            return  # degraded results are never cached (PR 4 contract)
-        if (
-            signature is not None
-            and self.cache is not None
-            and record.model is not None
-        ):
-            self.cache.put(
-                signature,
-                CacheEntry.from_parts(
-                    record.model, record.stats, record.warnings
-                ),
-            )
+        if signature is not None and self.cache is not None:
+            _cache_record(self.cache, signature, record)

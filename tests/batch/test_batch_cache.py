@@ -117,9 +117,11 @@ class TestPooledCache:
     @pytest.mark.parametrize("resilience", [False, True],
                              ids=["plain", "ladder"])
     def test_serial_path_counts_token_level_hits(self, resilience):
+        # A new HTML signature with _A's token signature: the parent-side
+        # lookup misses and the extractor's token-level cache answers.
         report = BatchExtractor(
             jobs=1, cache=True, resilience=resilience
-        ).extract_html([_A, _B, _A])
+        ).extract_html([_A, _B, "<!-- same form -->" + _A])
         assert report.cache_misses == 2
         assert report.cache_hits == 1
         assert report.records[2].cached

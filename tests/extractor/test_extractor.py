@@ -268,7 +268,7 @@ class TestWarmup:
 
         service = ExtractionService(ServerConfig(jobs=1, cache=False))
         calls = []
-        assert service._serial is not None
-        service._serial.warmup = lambda: calls.append(True)  # type: ignore[method-assign]
+        local = service._batch._local_extractor()
+        local.warmup = lambda: calls.append(True)  # type: ignore[method-assign]
         assert service.warm() == 1
         assert calls == [True]

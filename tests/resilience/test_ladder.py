@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.batch import BatchExtractor
 from repro.cache import ExtractionCache
 from repro.datasets.fixtures import QAM_HTML
 from repro.datasets.repository import standard_datasets
@@ -231,6 +232,26 @@ class TestObservability:
         )
         assert result.trace.span_named("layout").tags == {"truncated": True}
         assert "layout" in {entry.stage for entry in result.degradation}
+
+    def test_degraded_pages_keep_their_parse_counters(self):
+        result = FormExtractor(
+            parser_config=ParserConfig(max_instances=40), resilience=True
+        ).extract_detailed(QAM_HTML)
+        assert result.level == LEVEL_HEURISTIC
+        assert result.parse.trees == []
+        construct = result.trace.span_named("parse.construct")
+        assert result.parse.stats.instances_created == 40
+        assert construct.counters == result.parse.stats.counters()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_sums_include_degraded_parse_work(self, jobs):
+        with BatchExtractor(
+            jobs=jobs, parser_config=ParserConfig(max_instances=40),
+            resilience=True,
+        ) as batch:
+            report = batch.extract_html([QAM_HTML])
+        assert report.records[0].trace["tags"]["degrade.level"] == LEVEL_HEURISTIC
+        assert report.stats.instances_created == 40
 
     def test_full_level_leaves_no_degrade_signal(self):
         registry = MetricsRegistry()
