@@ -786,8 +786,11 @@ class BatchExtractor:
         resume: bool = False,
         resilience: ResilienceConfig | bool | None = None,
     ):
+        # Read once: ``usable_cores`` re-reads the affinity mask and the
+        # cgroup quota files on every call.
+        cores = usable_cores()
         if jobs == "auto":
-            jobs = usable_cores()
+            jobs = cores
         if not isinstance(jobs, int) or jobs < 1:
             raise ValueError(f"jobs must be >= 1 or 'auto', got {jobs!r}")
         if timeout is not None and timeout <= 0:
@@ -811,6 +814,9 @@ class BatchExtractor:
         self.retry_backoff = retry_backoff
         self.max_pool_restarts = max_pool_restarts
         self.oversubscribe = oversubscribe
+        # Pooled worker count: CPU-bound workers beyond the scheduler's
+        # cores add only context switches and IPC.
+        self._workers = jobs if oversubscribe else min(jobs, cores)
         self.cache_path: Path | None = (
             Path(cache_dir) / "extraction-cache.jsonl"
             if cache_dir is not None
@@ -866,7 +872,7 @@ class BatchExtractor:
         chunk per worker is submitted and awaited.  Returns the number of
         workers standing by (for ``jobs=1``, the calling process).
         """
-        workers = self._effective_workers()
+        workers = self._workers
         pool = self._get_pool(workers)
         for future in [
             pool.submit(_extract_chunk, "custom", [], None) for _ in range(workers)
@@ -903,7 +909,7 @@ class BatchExtractor:
         With ``jobs=1`` the job runs before this returns, in the calling
         thread, and the future comes back finished.
         """
-        pool = self._get_pool(self._effective_workers())
+        pool = self._get_pool(self._workers)
         inner = pool.submit(
             _extract_chunk, "custom", [(0, (job_fn, item))],
             timeout if timeout is not None else self.timeout,
@@ -1093,7 +1099,7 @@ class BatchExtractor:
                         pool_restarts=info.pool_restarts,
                         unresolved=len(remaining),
                     )
-                workers = 1 if isolated else self._effective_workers()
+                workers = 1 if isolated else self._workers
                 pool = self._get_pool(workers)
                 try:
                     runner = (
@@ -1165,17 +1171,6 @@ class BatchExtractor:
             )
         return self._serial_extractor
 
-    def _effective_workers(self) -> int:
-        """Pooled worker count: ``jobs`` clamped to the usable cores.
-
-        Workers are CPU-bound; spawning more of them than the scheduler
-        has cores for adds context-switch and IPC overhead without any
-        extra parallelism.  ``oversubscribe=True`` opts out of the clamp.
-        """
-        if self.oversubscribe:
-            return self.jobs
-        return max(1, min(self.jobs, usable_cores()))
-
     def _get_pool(self, workers: int) -> Executor:
         """The persistent executor, (re)built only when needed.
 
@@ -1200,8 +1195,8 @@ class BatchExtractor:
                 try:
                     # Pre-warm before forking: children inherit the
                     # grammar/schedule caches *and* the warmup parse's
-                    # import/alloc state (numpy, parser core) through
-                    # copy-on-write.
+                    # import/alloc state (parser core, geometry table)
+                    # through copy-on-write.
                     self._local_extractor().warmup()
                 except Exception:  # noqa: BLE001 - workers surface the error
                     pass

@@ -164,7 +164,7 @@ class FormExtractor:
 
         Parses and merges one tiny synthetic form through the extractor's
         own parser: the cached grammar and schedule, the geometry table's
-        numpy paths, the parser core's first-call allocations, and the
+        sorted window, the parser core's first-call allocations, and the
         merger are all exercised once.  The result is discarded and
         neither the extraction cache nor the metrics registry is
         touched, so a warmed extractor is observably identical to a cold
@@ -174,8 +174,8 @@ class FormExtractor:
         """
         tokens: list[Token] = []
         # Four label+textbox rows plus a submit row: big enough that the
-        # instance pools cross MIN_INDEXED_POOL, so the geometry-table
-        # paths (and their numpy allocations) run too.
+        # instance pools cross MIN_INDEXED_POOL, so the geometry table's
+        # sorted window runs too.
         for row in range(4):
             top = 24.0 * row
             tokens.append(Token(

@@ -185,24 +185,3 @@ def union_all(boxes: list[BBox]) -> BBox:
             bottom = box.bottom
     return BBox(left, right, top, bottom)
 
-
-def columns_of(boxes: "list[BBox]") -> tuple[
-    list[float], list[float], list[float], list[float]
-]:
-    """Export *boxes* as four parallel coordinate columns.
-
-    The columnar form (``left``, ``right``, ``top``, ``bottom`` lists whose
-    row *i* describes ``boxes[i]``) is what the vectorized spatial kernel
-    consumes: row ids are stable by construction, so a mask over the
-    columns indexes straight back into the originating sequence.
-    """
-    left: list[float] = []
-    right: list[float] = []
-    top: list[float] = []
-    bottom: list[float] = []
-    for box in boxes:
-        left.append(box.left)
-        right.append(box.right)
-        top.append(box.top)
-        bottom.append(box.bottom)
-    return left, right, top, bottom

@@ -44,17 +44,9 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 from repro.grammar.instance import Instance, InternTable
 from repro.grammar.preference import Preference
 from repro.grammar.production import Production
-from repro.parser.spatial_index import (
-    MIN_INDEXED_POOL,
-    GeometryTable,
-    h_allows,
-    v_allows,
-)
+from repro.parser.spatial_index import MIN_INDEXED_POOL, GeometryTable, passes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.grammar.production import AxisSpec
-
-    TargetCheck = tuple[int, "AxisSpec", "AxisSpec"]
     GuardTick = Callable[[str], bool]
 
 _iid = attrgetter("iid")
@@ -422,7 +414,7 @@ def _combos(
     production's declarative spatial bounds.
 
     Candidates at every position are visited in pool (intern) order,
-    whether produced by a plain filtered scan or a vectorized
+    whether produced by a plain filtered scan or by the sorted window of
     :meth:`GeometryTable.select`, so the combination order matches the
     naive cartesian product with bound-violating combinations removed.
     """
@@ -436,36 +428,6 @@ def _combos(
     if not production.bounds:
         yield from itertools.product(*pools)
         return
-    if n == 2:
-        # Binary productions dominate practical 2P grammars, so unroll
-        # the recursive expansion into two plain loops.  Position 0
-        # never carries checks (bounds require ``i < j``), and every
-        # check at position 1 anchors on position 0 -- which is what
-        # lets the table answer the whole plan with one batched
-        # ``select_rows`` matrix instead of one ``select`` call per
-        # anchor.
-        pool0, pool1 = pools
-        checks1 = bounds_by_target[1]
-        component1 = components[1]
-        if (
-            checks1
-            and pool1 is fixed_pools.get(component1)
-            and len(pool1) >= MIN_INDEXED_POOL
-        ):
-            table = tables.get(component1)
-            if table is None:
-                table = tables[component1] = GeometryTable(pool1)
-            selections = table.select_rows(checks1, pool0)
-            base = len(pool1)
-            # Per-anchor accounting stays lazy (counted when the
-            # enumeration reaches the anchor), matching the per-anchor
-            # path under early budget breaks.
-            for row, anchor in enumerate(pool0):
-                selected = selections[row]
-                counters.combos_prefiltered += base - len(selected)
-                for candidate in selected:
-                    yield (anchor, candidate)
-            return
     combo: list[Instance] = [None] * n  # type: ignore[list-item]
 
     def candidates(position: int) -> list[Instance]:
@@ -475,9 +437,9 @@ def _combos(
             return pool
         component = components[position]
         if pool is fixed_pools.get(component) and len(pool) >= MIN_INDEXED_POOL:
-            # Columnar path: the pool is the frozen full pool of a fixed
-            # component, large enough that evaluating the whole check
-            # conjunction as vectorized interval masks beats a scan.
+            # Window path: the pool is the frozen full pool of a fixed
+            # component, large enough that bisecting its coordinate-sorted
+            # rows down to a band's window beats a scan.
             table = tables.get(component)
             if table is None:
                 table = tables[component] = GeometryTable(pool)
@@ -488,7 +450,9 @@ def _combos(
         return selected
 
     if n == 2:
-        # The unbatched binary case: one candidate scan per anchor.
+        # Binary productions dominate practical 2P grammars, so unroll
+        # the recursive expansion into two plain loops.  Position 0
+        # never carries checks (bounds require ``i < j``).
         for anchor in pools[0]:
             combo[0] = anchor
             for candidate in candidates(1):
@@ -515,22 +479,6 @@ def _expand(
     for candidate in candidates(position):
         combo[position] = candidate
         yield from _expand(position + 1, combo, candidates)
-
-
-def passes(
-    candidate: Instance,
-    checks: "tuple[TargetCheck, ...]",
-    combo: list[Instance],
-) -> bool:
-    """Does *candidate* satisfy every axis-envelope check of *checks*?"""
-    box = candidate.bbox
-    for anchor, h_spec, v_spec in checks:
-        other = combo[anchor].bbox
-        if not h_allows(h_spec, other, box):
-            return False
-        if not v_allows(v_spec, other, box):
-            return False
-    return True
 
 
 # -- just-in-time pruning -------------------------------------------------------------

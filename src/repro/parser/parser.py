@@ -35,10 +35,10 @@ Two interchangeable evaluation modes produce identical parse forests:
   combinations containing at least one instance created in round *k - 1*
   (the frontier), so no combination is ever examined twice and no dedup
   set is needed.  Productions additionally declare conservative spatial
-  ``bounds`` which, evaluated as vectorized masks over a per-symbol
-  :class:`~repro.parser.spatial_index.GeometryTable`, pre-filter
-  candidate pools down to geometrically plausible neighbours before
-  :meth:`Production.try_apply` runs.
+  ``bounds`` which, bisected over the coordinate-sorted rows of a
+  per-symbol :class:`~repro.parser.spatial_index.GeometryTable`,
+  pre-filter candidate pools down to geometrically plausible neighbours
+  before :meth:`Production.try_apply` runs.
 * ``"naive"`` -- the original loop: every round re-enumerates the full
   cartesian product of component pools and skips already-seen combinations
   through a ``seen_keys`` set.  Kept as the equivalence baseline (see

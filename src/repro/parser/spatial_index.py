@@ -1,28 +1,27 @@
-"""The columnar geometry kernel behind spatial pre-filtering.
+"""The sorted window behind spatial pre-filtering.
 
 Every spatial relation of the grammar implies *adjacency* (paper Section
 4.1), so a production annotated with declarative bounds (see
 :mod:`repro.grammar.production`) only ever combines instances that sit
 within a bounded envelope of each other.  :class:`GeometryTable` exploits
-that set-at-a-time: a pool's bounding boxes are held as parallel numpy
-coordinate columns (``left``/``right``/``top``/``bottom``, one row per
-instance, row ids stable by construction), so a production's whole
-interval conjunction evaluates as a handful of vectorized comparisons
-producing one boolean mask over the entire pool instead of N Python
-predicate calls.
+that set-at-a-time with the standard library's :mod:`bisect`: a pool's
+rows are sorted once on ``left`` and once on ``top``, so a two-sided
+displacement band narrows the pool to the window of rows whose
+displacement falls inside it, and only that window is tested.
 
-The scalar predicates :func:`h_allows` / :func:`v_allows` define what the
-masks compute: a row passes iff the predicate accepts its instance, and
-selections come back in ``uid`` (pool) order, so a production constraint
-is never starved of a combination it would accept and enumeration order
-is identical whether a pool is filtered through the table or scanned.
+The scalar predicates :func:`h_allows` / :func:`v_allows`, conjoined by
+:func:`passes`, define and decide every selection: the window only skips
+rows the band would reject, and hits come back in ``uid`` (pool) order,
+so a production constraint is never starved of a combination it would
+accept and enumeration order is identical whether a pool is filtered
+through the table or scanned.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy
+import math
+from bisect import bisect_left, bisect_right
+from typing import TYPE_CHECKING, Sequence
 
 from repro.grammar.instance import Instance
 from repro.grammar.production import AxisSpec
@@ -30,6 +29,8 @@ from repro.layout.box import BBox
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     TargetCheck = tuple[int, AxisSpec, AxisSpec]
+    #: Sorted coordinates of one axis and the rows they belong to.
+    Order = tuple[list[float], list[int]]
 
 #: Pools smaller than this are cheaper to scan than to index.
 MIN_INDEXED_POOL = 8
@@ -68,152 +69,110 @@ def v_allows(spec: AxisSpec, anchor: BBox, candidate: BBox) -> bool:
     return anchor.vertical_gap(candidate) <= spec
 
 
-# -- the vectorized geometry table --------------------------------------------
+def passes(
+    candidate: Instance,
+    checks: "tuple[TargetCheck, ...]",
+    combo: Sequence[Instance],
+) -> bool:
+    """Does *candidate* satisfy every axis-envelope check of *checks*?"""
+    box = candidate.bbox
+    for anchor, h_spec, v_spec in checks:
+        other = combo[anchor].bbox
+        if not h_allows(h_spec, other, box):
+            return False
+        if not v_allows(v_spec, other, box):
+            return False
+    return True
+
+
+# -- the sorted window --------------------------------------------------------
+
+
+def _band(spec: AxisSpec) -> "tuple[float, float] | None":
+    """*spec* as a two-sided displacement band ``(lo, hi)``, or ``None``."""
+    if type(spec) is tuple:
+        lo, hi = spec
+        if lo is not None and hi is not None:
+            return lo, hi
+    return None
 
 
 class GeometryTable:
-    """Columnar numpy geometry for one symbol's frozen instance pool.
+    """One symbol's frozen instance pool, sorted on demand per axis.
 
-    One row per instance, in pool (``uid``) order; four float64 columns
-    ``left``/``right``/``top``/``bottom``.  A production's spatial checks
-    against a fixed candidate pool evaluate as vectorized interval
-    comparisons producing one boolean mask per axis spec; the conjunction
-    is materialized back to instances via the stable row ids, preserving
-    pool order exactly.
+    Rows are the pool's instances in pool (``uid``) order.  The first
+    query that bands an axis sorts the rows on that axis's near edge
+    (``left`` for horizontal displacement, ``top`` for vertical), and
+    every later query against the pool reuses the order.
     """
 
-    __slots__ = ("instances", "left", "right", "top", "bottom")
+    __slots__ = ("instances", "_orders")
 
     def __init__(self, instances: list[Instance]) -> None:
         self.instances = instances
-        count = len(instances)
-        left = numpy.empty(count, dtype=numpy.float64)
-        right = numpy.empty(count, dtype=numpy.float64)
-        top = numpy.empty(count, dtype=numpy.float64)
-        bottom = numpy.empty(count, dtype=numpy.float64)
-        for row, instance in enumerate(instances):
-            box = instance.bbox
-            left[row] = box.left
-            right[row] = box.right
-            top[row] = box.top
-            bottom[row] = box.bottom
-        self.left = left
-        self.right = right
-        self.top = top
-        self.bottom = bottom
+        self._orders: dict[str, "Order | None"] = {}
 
     def __len__(self) -> int:
         return len(self.instances)
 
-    # Each mask method mirrors the scalar predicate exactly (same IEEE
-    # comparisons in the same orientation), so a row passes the mask iff
-    # the scalar predicate accepts the corresponding instance.  The anchor
-    # coordinates may be Python floats (one anchor -> a length-C mask) or
-    # ``(A, 1)`` column vectors (a whole anchor pool -> an ``A x C`` mask
-    # matrix); numpy broadcasting handles both identically.
-
-    def _h_mask(self, spec: AxisSpec, a_left: Any, a_right: Any) -> Any:
-        if type(spec) is tuple:
-            displacement = self.left - a_right
-            lo, hi = spec
-            if lo is None:
-                if hi is None:  # degenerate (None, None): unconstrained
-                    return numpy.ones(numpy.shape(displacement), dtype=bool)
-                return displacement <= hi
-            mask = displacement >= lo
-            if hi is not None:
-                mask &= displacement <= hi
-            return mask
-        gap = numpy.maximum(self.left - a_right, a_left - self.right)
-        numpy.maximum(gap, 0.0, out=gap)
-        return gap <= spec
-
-    def _v_mask(self, spec: AxisSpec, a_top: Any, a_bottom: Any) -> Any:
-        if type(spec) is tuple:
-            displacement = self.top - a_bottom
-            lo, hi = spec
-            if lo is None:
-                if hi is None:  # degenerate (None, None): unconstrained
-                    return numpy.ones(numpy.shape(displacement), dtype=bool)
-                return displacement <= hi
-            mask = displacement >= lo
-            if hi is not None:
-                mask &= displacement <= hi
-            return mask
-        gap = numpy.maximum(self.top - a_bottom, a_top - self.bottom)
-        numpy.maximum(gap, 0.0, out=gap)
-        return gap <= spec
+    def _order(self, edge: str) -> "Order | None":
+        """The rows sorted on their *edge* coordinate, with the sorted
+        coordinates; ``None`` if one is not finite (NaN does not sort)."""
+        if edge in self._orders:
+            return self._orders[edge]
+        keys = [getattr(instance.bbox, edge) for instance in self.instances]
+        order: "Order | None" = None
+        if all(map(math.isfinite, keys)):
+            rows = sorted(range(len(keys)), key=keys.__getitem__)
+            order = ([keys[row] for row in rows], rows)
+        self._orders[edge] = order
+        return order
 
     def select(
         self,
         checks: "tuple[TargetCheck, ...]",
-        combo: "Sequence[Instance | None]",
+        combo: Sequence[Instance],
     ) -> list[Instance]:
         """Pool members passing every ``(anchor, h_spec, v_spec)`` check.
 
         *combo* supplies the already-bound anchor instances by position.
-        Equivalent to filtering the pool through :func:`h_allows` /
-        :func:`v_allows` for every check, in one vectorized pass; results
-        keep pool (``uid``) order.
+        Equal to filtering the pool through :func:`passes`: the first
+        two-sided displacement band ``(lo, hi)`` in *checks* bisects its
+        axis to the rows whose displacement from the anchor lies in the
+        band, and :func:`passes` decides each of those.  Without such a
+        band, or when a coordinate on its axis or the anchor's edge is
+        not finite, the whole pool is scanned.  Results keep pool
+        (``uid``) order.
         """
-        mask: Any = None
+        instances = self.instances
         for anchor_position, h_spec, v_spec in checks:
-            anchor_instance = combo[anchor_position]
-            assert anchor_instance is not None
-            anchor = anchor_instance.bbox
-            if h_spec is not None:
-                h_mask = self._h_mask(h_spec, anchor.left, anchor.right)
-                mask = h_mask if mask is None else mask & h_mask
-            if v_spec is not None:
-                v_mask = self._v_mask(v_spec, anchor.top, anchor.bottom)
-                mask = v_mask if mask is None else mask & v_mask
-        if mask is None:
-            return self.instances
-        instances = self.instances
-        return [instances[row] for row in numpy.flatnonzero(mask)]
+            anchor = combo[anchor_position].bbox
+            band = _band(h_spec)
+            if band is not None:
+                order, edge = self._order("left"), anchor.right
+            else:
+                band = _band(v_spec)
+                if band is None:
+                    continue
+                order, edge = self._order("top"), anchor.bottom
+            if order is None or not math.isfinite(edge):
+                break
+            keys, rows = order
+            lo, hi = band
 
-    def select_rows(
-        self,
-        checks: "tuple[TargetCheck, ...]",
-        anchors: "Sequence[Instance]",
-    ) -> list[list[Instance]]:
-        """Batched :meth:`select`: one selection list per anchor.
+            def displacement(key: float) -> float:
+                # The predicates' own subtraction, monotone in *key*, so
+                # the window's ends are exact without an epsilon.
+                return key - edge
 
-        All *checks* must reference the same anchor position, bound to the
-        instances of *anchors* in turn (the binary-production case, where
-        every check anchors on component 0).  The whole ``A x C`` mask
-        matrix is computed in one broadcast pass, amortizing the fixed
-        per-call numpy cost over the entire anchor pool -- the batching
-        that makes vectorization viable on the small per-form pools this
-        parser sees.  ``result[row]`` equals ``select(checks, <anchors[row]>)``,
-        element for element.
-        """
-        count = len(anchors)
-        a_left = numpy.empty((count, 1), dtype=numpy.float64)
-        a_right = numpy.empty((count, 1), dtype=numpy.float64)
-        a_top = numpy.empty((count, 1), dtype=numpy.float64)
-        a_bottom = numpy.empty((count, 1), dtype=numpy.float64)
-        for row, anchor in enumerate(anchors):
-            box = anchor.bbox
-            a_left[row, 0] = box.left
-            a_right[row, 0] = box.right
-            a_top[row, 0] = box.top
-            a_bottom[row, 0] = box.bottom
-        mask: Any = None
-        for _, h_spec, v_spec in checks:
-            if h_spec is not None:
-                h_mask = self._h_mask(h_spec, a_left, a_right)
-                mask = h_mask if mask is None else mask & h_mask
-            if v_spec is not None:
-                v_mask = self._v_mask(v_spec, a_top, a_bottom)
-                mask = v_mask if mask is None else mask & v_mask
-        if mask is None:
-            return [self.instances] * count
-        result: list[list[Instance]] = [[] for _ in range(count)]
-        instances = self.instances
-        rows, cols = numpy.nonzero(mask)
-        # ``nonzero`` walks the matrix row-major, so columns come out
-        # ascending within each row -- pool (uid) order, as required.
-        for row, col in zip(rows.tolist(), cols.tolist()):
-            result[row].append(instances[col])
-        return result
+            start = bisect_left(keys, lo, key=displacement)
+            stop = bisect_right(keys, hi, start, key=displacement)
+            window = sorted(rows[start:stop])
+            return [
+                instances[row] for row in window
+                if passes(instances[row], checks, combo)
+            ]
+        return [
+            instance for instance in instances
+            if passes(instance, checks, combo)
+        ]

@@ -168,10 +168,8 @@ class TestWorkerSizing:
 
     def test_effective_workers_clamped_to_usable_cores(self):
         batch = BatchExtractor(jobs=512)
-        assert batch._effective_workers() == min(512, usable_cores())
-        assert BatchExtractor(
-            jobs=512, oversubscribe=True
-        )._effective_workers() == 512
+        assert batch._workers == min(512, usable_cores())
+        assert BatchExtractor(jobs=512, oversubscribe=True)._workers == 512
 
     def test_auto_chunksize_waves(self):
         auto = BatchExtractor._auto_chunksize

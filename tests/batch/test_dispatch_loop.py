@@ -13,6 +13,7 @@ import multiprocessing
 import pytest
 
 from repro.batch import BatchExtractor
+from repro.batch import extractor as batch_extractor
 from repro.cache import ExtractionCache
 from repro.datasets.repository import build_basic
 from repro.evaluation.harness import EvaluationHarness
@@ -84,6 +85,23 @@ class TestSubmitCustom:
         assert record.ok
         expected = batch.extract_html([_DISTINCT[0]]).records[0]
         assert model_to_dict(record.model) == model_to_dict(expected.model)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_usable_cores_is_read_once_per_extractor(self, jobs, monkeypatch):
+        """The worker clamp is sized at construction, not per submission:
+        ``usable_cores`` re-reads the affinity mask and cgroup files."""
+        real = batch_extractor.usable_cores
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(batch_extractor, "usable_cores", counting)
+        with BatchExtractor(jobs=jobs) as batch:
+            for html in _DISTINCT[:3]:
+                assert batch.submit_custom(job_extract, html).result().ok
+        assert len(calls) == 1
 
 
 class TestWarm:

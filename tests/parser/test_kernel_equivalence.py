@@ -1,6 +1,6 @@
 """Semi-naive vs naive, and every shape of enforcement: one answer.
 
-The semi-naive fix-point filters candidates through the columnar
+The semi-naive fix-point filters candidates through the sorted window of
 :class:`~repro.parser.spatial_index.GeometryTable` and enforces
 preferences on each instance's ``coverage_mask`` int: one candidate list
 per alive loser, and no pair an earlier pass already tested.  Each of

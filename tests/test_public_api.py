@@ -6,6 +6,10 @@ cleanly, and the headline one-liner must work as documented.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,31 @@ class TestImports:
 
     def test_version(self):
         assert repro.__version__
+
+    def test_numpy_is_never_imported(self):
+        """The package runs on the standard library alone: importing it,
+        warming an extractor and extracting a form never load numpy."""
+        script = (
+            "import sys\n"
+            "import repro, repro.server, repro.analysis\n"
+            "from repro.datasets import QAM_HTML\n"
+            "extractor = repro.FormExtractor()\n"
+            "extractor.warmup()\n"
+            "assert len(list(extractor.extract(QAM_HTML))) == 5\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] == 'numpy'))\n"
+        )
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        path = [source_root, os.environ.get("PYTHONPATH", "")]
+        process = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        assert process.returncode == 0, process.stderr[-2000:]
+        assert process.stdout.strip() == "[]"
 
 
 class TestHeadlineUsage:
