@@ -83,13 +83,13 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.batch.cpu import usable_cores
 from repro.batch.journal import BatchJournal, job_key
 from repro.cache import (
+    CACHE_FILENAME,
     CacheEntry,
     ExtractionCache,
     html_signature,
     token_signature,
 )
 from repro.extractor import ExtractionResult, FormExtractor
-from repro.grammar.grammar import TwoPGrammar
 from repro.observability.logs import get_logger, log_event
 from repro.observability.trace import Trace
 from repro.parser.parser import ParserConfig, ParseStats
@@ -100,11 +100,6 @@ from repro.semantics.serialize import model_from_dict, model_to_dict
 from repro.tokens.model import Token
 
 _logger = get_logger("repro.batch")
-
-#: Builds the grammar inside a worker process.  Must be picklable by
-#: reference (a module-level function), not a closure; ``None`` selects the
-#: cached standard grammar.
-GrammarFactory = Callable[[], TwoPGrammar]
 
 #: A custom per-form job for :meth:`BatchExtractor.iter_custom`: receives
 #: the worker's extractor and one payload, returns an
@@ -166,21 +161,13 @@ class BatchRecord:
     def from_payload(cls, payload: dict, index: int) -> "BatchRecord":
         """Rebuild a journaled record (fresh objects, marked ``resumed``).
 
-        Unknown stats fields from a newer writer are dropped; a payload
+        Stats rebuild as :meth:`ParseStats.from_dict` does; a payload
         that cannot rebuild at all comes back as an error record so the
         caller re-extracts rather than trusting a corrupt checkpoint.
         """
         try:
             model_payload = payload.get("model")
             stats_payload = payload.get("stats")
-            stats = None
-            if isinstance(stats_payload, dict):
-                known = {spec.name for spec in dataclasses.fields(ParseStats)}
-                stats = ParseStats(**{
-                    name: value
-                    for name, value in stats_payload.items()
-                    if name in known
-                })
             return cls(
                 index=index,
                 model=(
@@ -188,7 +175,11 @@ class BatchRecord:
                     if isinstance(model_payload, dict)
                     else None
                 ),
-                stats=stats,
+                stats=(
+                    ParseStats.from_dict(stats_payload)
+                    if isinstance(stats_payload, dict)
+                    else None
+                ),
                 elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
                 error=payload.get("error"),
                 attempts=int(payload.get("attempts", 1)),
@@ -444,7 +435,6 @@ def _cache_from_spec(spec: CacheSpec) -> ExtractionCache | None:
 
 
 def _init_worker(
-    grammar_factory: GrammarFactory | None,
     parser_config: ParserConfig | None,
     cache_spec: CacheSpec = None,
     resilience: ResilienceConfig | None = None,
@@ -458,22 +448,18 @@ def _init_worker(
     """
     global _worker_extractor
     _worker_extractor = _build_extractor(
-        grammar_factory, parser_config, _cache_from_spec(cache_spec),
-        resilience,
+        parser_config, _cache_from_spec(cache_spec), resilience
     )
     _worker_extractor.warmup()
 
 
 def _build_extractor(
-    grammar_factory: GrammarFactory | None,
     parser_config: ParserConfig | None,
     cache: ExtractionCache | None = None,
     resilience: ResilienceConfig | None = None,
 ) -> FormExtractor:
-    grammar = grammar_factory() if grammar_factory is not None else None
     return FormExtractor(
-        grammar=grammar, parser_config=parser_config, cache=cache,
-        resilience=resilience,
+        parser_config=parser_config, cache=cache, resilience=resilience
     )
 
 
@@ -721,10 +707,6 @@ class BatchExtractor:
             :func:`~repro.batch.cpu.usable_cores`.  Pooled runs clamp the
             actual worker count to the usable cores (see *oversubscribe*);
             ``jobs`` itself is still reported unchanged.
-        grammar_factory: Module-level callable building each worker's
-            grammar (``None`` = the cached standard grammar).  A factory
-            rather than a grammar because grammars carry closures, which
-            do not pickle; the *reference* to a module-level function does.
         parser_config: Optional :class:`ParserConfig` shipped to workers.
         chunksize: Inputs dispatched per IPC round-trip.  Default: split
             the batch into about four waves per worker, minimum one input.
@@ -772,7 +754,6 @@ class BatchExtractor:
     def __init__(
         self,
         jobs: int | str = 1,
-        grammar_factory: GrammarFactory | None = None,
         parser_config: ParserConfig | None = None,
         chunksize: int | None = None,
         timeout: float | None = None,
@@ -806,7 +787,6 @@ class BatchExtractor:
                 f"max_pool_restarts must be >= 0, got {max_pool_restarts}"
             )
         self.jobs = jobs
-        self.grammar_factory = grammar_factory
         self.parser_config = parser_config
         self.chunksize = chunksize
         self.timeout = timeout
@@ -818,7 +798,7 @@ class BatchExtractor:
         # cores add only context switches and IPC.
         self._workers = jobs if oversubscribe else min(jobs, cores)
         self.cache_path: Path | None = (
-            Path(cache_dir) / "extraction-cache.jsonl"
+            Path(cache_dir) / CACHE_FILENAME
             if cache_dir is not None
             else None
         )
@@ -1166,8 +1146,7 @@ class BatchExtractor:
         """The in-process extractor for ``jobs=1`` (never the worker global)."""
         if self._serial_extractor is None:
             self._serial_extractor = _build_extractor(
-                self.grammar_factory, self.parser_config, self.cache,
-                self.resilience,
+                self.parser_config, self.cache, self.resilience
             )
         return self._serial_extractor
 
@@ -1205,7 +1184,6 @@ class BatchExtractor:
                 mp_context=mp_context,
                 initializer=_init_worker,
                 initargs=(
-                    self.grammar_factory,
                     self.parser_config,
                     self._worker_cache_spec(),
                     self.resilience,

@@ -6,21 +6,21 @@ is finalized, one line lands in the journal; after a crash (or SIGKILL)
 a rerun with ``resume=True`` loads the journal and skips every form
 whose outcome is already on disk, re-extracting only the rest.
 
-The file discipline mirrors the disk-backed extraction cache
-(:mod:`repro.cache.store`):
+The file is an :class:`~repro.cache.log.AppendLog`, the same file as the
+disk-backed extraction cache: ``flock``-guarded, immediately flushed,
+CRC-checked lines; an append ends a torn tail first; damaged lines are
+quarantined, never fatal.  On top of it the journal keeps its own rules:
 
-* appends are ``flock``-guarded where available, one line per record,
-  flushed immediately so a killed process loses at most the line it was
-  writing;
-* loading tolerates a torn trailing line (everything after the last
-  newline is ignored) and quarantines corrupt lines -- bad JSON, wrong
-  version, failed checksum -- by skipping them and counting
-  :attr:`corrupt_lines`, never by failing the run;
-* each line carries a CRC-32 checksum of its payload, so a partially
-  flushed or bit-rotted line cannot resurrect as a bogus "completed"
-  outcome;
 * the newest line for a key wins, so re-running a failed form simply
-  appends its new outcome.
+  appends its new outcome;
+* a record with an ``error`` documents the failure but is not
+  resume-skippable;
+* without ``resume`` the journal is write-only;
+* a tail still unterminated at load is a line a killed writer tore, and
+  counts as one of :attr:`BatchJournal.corrupt_lines`.
+
+Journals written before the shared line format (version 1) resume
+nothing: their lines load as corrupt.
 
 Keys bind an input's batch *position* to its *content signature*
 (``"<index>:<signature>"``), so resuming against an edited input list
@@ -32,26 +32,10 @@ in the batch engine.
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from pathlib import Path
 
-try:  # POSIX only; appends degrade to lock-free elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
-
-#: Journal line format version; mismatched lines are quarantined on load.
-JOURNAL_FORMAT_VERSION = 1
-
-
-def _checksum(key: str, payload: dict) -> int:
-    """CRC-32 over the canonical JSON of one journal entry."""
-    canonical = key + "\n" + json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
-    return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
+from repro.cache.log import AppendLog
 
 
 def job_key(index: int, signature: str | None) -> str:
@@ -80,13 +64,14 @@ class BatchJournal:
     def __init__(self, path: str | os.PathLike, resume: bool = False):
         self.path = Path(path)
         self.resume = resume
-        #: Lines skipped on load: bad JSON, bad checksum, wrong version.
+        self._log = AppendLog(self.path)
+        #: Lines quarantined on load, a torn tail included.
         self.corrupt_lines = 0
         self._loaded: dict[str, dict] = {}
         if resume:
-            self._load()
-
-    # -- reading -------------------------------------------------------------------
+            read = self._log.read()
+            self.corrupt_lines = read.corrupt + int(read.pending)
+            self._loaded = dict(read.records)  # newest line per key wins
 
     def __len__(self) -> int:
         return len(self._loaded)
@@ -103,78 +88,8 @@ class BatchJournal:
             return None
         return payload
 
-    def _load(self) -> None:
-        try:
-            blob = self.path.read_bytes()
-        except OSError:
-            return  # no journal yet: nothing to resume
-        consumed = blob.rfind(b"\n")
-        if consumed < 0:
-            if blob:
-                self.corrupt_lines += 1  # a single torn line
-            return
-        tail = blob[consumed + 1:]
-        if tail:
-            self.corrupt_lines += 1  # torn trailing line (mid-write kill)
-        for raw in blob[: consumed + 1].splitlines():
-            if not raw.strip():
-                continue
-            try:
-                line = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self.corrupt_lines += 1
-                continue
-            if not isinstance(line, dict) or line.get("v") != JOURNAL_FORMAT_VERSION:
-                self.corrupt_lines += 1
-                continue
-            key = line.get("key")
-            payload = line.get("record")
-            if not isinstance(key, str) or not isinstance(payload, dict):
-                self.corrupt_lines += 1
-                continue
-            if line.get("sum") != _checksum(key, payload):
-                self.corrupt_lines += 1
-                continue
-            self._loaded[key] = payload  # newest line per key wins
-        return
-
-    # -- writing -------------------------------------------------------------------
-
     def append(self, key: str, payload: dict) -> None:
         """Journal one finalized outcome (best-effort: disk trouble is
         swallowed -- checkpointing must never fail the batch itself)."""
-        line = (
-            json.dumps(
-                {
-                    "v": JOURNAL_FORMAT_VERSION,
-                    "key": key,
-                    "sum": _checksum(key, payload),
-                    "record": payload,
-                },
-                ensure_ascii=False,
-                separators=(",", ":"),
-            )
-            + "\n"
-        ).encode("utf-8")
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a+b") as fh:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                try:
-                    # A predecessor killed mid-write leaves a torn,
-                    # newline-less tail; writing straight after it would
-                    # corrupt THIS record too.  Terminate the tail first.
-                    size = fh.seek(0, os.SEEK_END)
-                    if size:
-                        fh.seek(size - 1)
-                        if fh.read(1) != b"\n":
-                            fh.write(b"\n")
-                    fh.write(line)
-                    fh.flush()
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-        except OSError:
-            pass
+        self._log.append(key, payload)
         self._loaded[key] = payload

@@ -8,7 +8,8 @@ the pipeline a way to recognize a form it has already parsed:
   position-quantized content hashes (translation-invariant for tokens).
 * :class:`ExtractionCache` -- a bounded, thread-safe LRU from signature to
   serialized extraction outcome, with an optional process-safe JSON-lines
-  disk backing shared by pool workers.
+  disk backing (:mod:`repro.cache.log`) shared by pool workers;
+  :data:`CACHE_FILENAME` names its file inside a cache directory.
 * :class:`CacheEntry` / :class:`CacheStats` -- the stored plain-data
   snapshot and the hit/miss accounting.
 """
@@ -20,6 +21,7 @@ from repro.cache.signature import (
     token_signature,
 )
 from repro.cache.store import (
+    CACHE_FILENAME,
     DEFAULT_CAPACITY,
     CacheEntry,
     CacheStats,
@@ -27,6 +29,7 @@ from repro.cache.store import (
 )
 
 __all__ = [
+    "CACHE_FILENAME",
     "SIGNATURE_QUANTUM",
     "DEFAULT_CAPACITY",
     "CacheEntry",

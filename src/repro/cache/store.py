@@ -9,9 +9,9 @@ as *data*, never as live objects: every hit deserializes a fresh
 never alias each other or be corrupted by a caller mutating its copy.
 
 An optional on-disk backing makes the cache process-safe: entries are
-appended to a JSON-lines file (one entry per line, ``flock``-guarded where
-available) and re-read incrementally whenever the file's size/mtime shows
-another process has appended -- pool workers sharing one path therefore
+appended to an :class:`~repro.cache.log.AppendLog` (one checksummed line
+per entry, ``flock``-guarded where available) and re-read incrementally
+whenever the file has grown -- pool workers sharing one path therefore
 share hits within and across batches.  The file is append-only; LRU
 eviction applies to the in-memory view only (the newest line for a
 signature wins on reload), so a long-lived cache directory trades disk for
@@ -21,15 +21,14 @@ hit rate and can simply be deleted to invalidate.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import threading
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from repro.cache.log import AppendLog
 from repro.parser.parser import ParseStats
 from repro.semantics.condition import SemanticModel
 from repro.semantics.serialize import model_from_dict, model_to_dict
@@ -37,27 +36,11 @@ from repro.semantics.serialize import model_from_dict, model_to_dict
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.extractor import ExtractionResult
 
-try:  # POSIX only; the cache degrades to lock-free appends elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
-
 #: Default bound on in-memory entries.
 DEFAULT_CAPACITY = 2048
 
-#: Disk format version; mismatched lines are skipped on load.  Version 2
-#: adds a per-line CRC-32 checksum over the signature + entry payload;
-#: version-1 lines (written by older builds) are still accepted, without
-#: validation.
-DISK_FORMAT_VERSION = 2
-
-
-def _line_checksum(signature: str, payload: dict) -> int:
-    """CRC-32 binding a disk line's signature to its entry payload."""
-    canonical = signature + "\n" + json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
-    return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
+#: The disk cache's file name inside a cache directory.
+CACHE_FILENAME = "extraction-cache.jsonl"
 
 
 @dataclass
@@ -106,16 +89,12 @@ class CacheEntry:
     def rebuild_stats(self) -> ParseStats | None:
         """A fresh ParseStats replaying the original counters.
 
-        Unknown fields (an entry written by a newer version) are dropped;
-        missing ones take their defaults -- a stale disk cache degrades to
-        slightly lossy counters, never to an exception.
+        A stale disk cache degrades to slightly lossy counters, never to
+        an exception (see :meth:`ParseStats.from_dict`).
         """
         if self.stats is None:
             return None
-        known = {spec.name for spec in dataclasses.fields(ParseStats)}
-        return ParseStats(
-            **{name: value for name, value in self.stats.items() if name in known}
-        )
+        return ParseStats.from_dict(self.stats)
 
     def to_payload(self) -> dict:
         return {
@@ -130,8 +109,8 @@ class CacheEntry:
 
         Raises :class:`ValueError` when a field has the wrong shape
         (``model`` not a dict, ``stats`` not a dict/None, ``warnings``
-        not a list of strings).  Disk lines -- including version-1 lines,
-        which carry no checksum -- pass through here on reload, so a
+        not a list of strings).  Disk lines pass through here on reload,
+        and a checksum only proves a line is what its writer wrote, so a
         malformed field must fail *here*, where the loader quarantines
         the line, rather than deep inside ``rebuild_stats()`` on the
         "never fails" hit path.
@@ -202,7 +181,7 @@ class ExtractionCache:
         path: Optional JSON-lines file shared between processes.  The file
             (and missing parent directories) is created on first put;
             loads are incremental and tolerate concurrent appends and
-            truncated trailing lines.
+            torn lines (see :mod:`repro.cache.log`).
     """
 
     def __init__(
@@ -214,6 +193,7 @@ class ExtractionCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.path = Path(path) if path is not None else None
+        self._log = AppendLog(self.path) if self.path is not None else None
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self._stats = CacheStats()
@@ -224,12 +204,12 @@ class ExtractionCache:
         #: back is *not* appended again -- the file stays O(signatures),
         #: not O(puts), under long-lived churn.
         self._disk_signatures: set[str] = set()
-        #: Fault-injection seam for the chaos harness: called at the top
-        #: of every disk append, inside the OSError-degradation scope.
-        #: A hook that raises OSError exercises the disk-full path
-        #: deterministically; the cache must degrade to memory-only.
+        #: Fault-injection seam for the chaos harness: called before every
+        #: disk append touches the file.  A hook that raises OSError
+        #: exercises the disk-full path deterministically; the cache must
+        #: degrade to memory-only.
         self.write_fault_hook: Callable[[], None] | None = None
-        if self.path is not None:
+        if self._log is not None:
             with self._lock:
                 self._refresh_from_disk()
 
@@ -238,7 +218,7 @@ class ExtractionCache:
     def get(self, signature: str) -> CacheEntry | None:
         """The entry for *signature*, refreshed from disk, or ``None``."""
         with self._lock:
-            if self.path is not None:
+            if self._log is not None:
                 self._refresh_from_disk()
             entry = self._entries.get(signature)
             if entry is None:
@@ -251,16 +231,12 @@ class ExtractionCache:
     def put(self, signature: str, entry: CacheEntry) -> None:
         """Insert (or refresh) *signature*; evict LRU past capacity."""
         with self._lock:
-            self._entries[signature] = entry
-            self._entries.move_to_end(signature)
+            self._remember(signature, entry)
             self._stats.puts += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._stats.evictions += 1
             # Append at most once per signature per file generation: the
             # in-memory map forgets evicted signatures, but the append-only
             # file does not, so membership is tracked separately.
-            if self.path is not None and signature not in self._disk_signatures:
+            if self._log is not None and signature not in self._disk_signatures:
                 self._append_to_disk(signature, entry)
 
     def __len__(self) -> int:
@@ -286,106 +262,50 @@ class ExtractionCache:
     def stats(self) -> CacheStats:
         return self._stats
 
+    def _remember(self, signature: str, entry: CacheEntry) -> None:
+        """Make *signature* the most recent entry; evict LRU past capacity."""
+        self._entries[signature] = entry
+        self._entries.move_to_end(signature)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self._stats.evictions += 1
+
     # -- disk backing -------------------------------------------------------------
 
     def _append_to_disk(self, signature: str, entry: CacheEntry) -> None:
-        assert self.path is not None
-        payload = entry.to_payload()
-        line = (
-            json.dumps(
-                {
-                    "v": DISK_FORMAT_VERSION,
-                    "sig": signature,
-                    "sum": _line_checksum(signature, payload),
-                    "entry": payload,
-                },
-                ensure_ascii=False,
-                separators=(",", ":"),
-            )
-            + "\n"
-        ).encode("utf-8")
+        # Disk trouble, the fault hook's included, degrades the cache to
+        # memory-only, silently -- caching is an optimization, never a
+        # correctness dependency.
+        assert self._log is not None
         try:
             if self.write_fault_hook is not None:
                 self.write_fault_hook()
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "ab") as fh:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                try:
-                    fh.write(line)
-                    fh.flush()
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-            self._disk_signatures.add(signature)
-            # Our own append is now part of the on-disk tail; skip re-reading
-            # it on the next refresh when nobody else wrote meanwhile.
-            self._disk_offset = self.path.stat().st_size
         except OSError:
-            # Disk trouble degrades the cache to memory-only, silently --
-            # caching is an optimization, never a correctness dependency.
-            pass
+            return
+        span = self._log.append(signature, entry.to_payload())
+        if span is None:
+            return
+        self._disk_signatures.add(signature)
+        if span[0] == self._disk_offset:
+            # Nothing unread precedes our own line: skip re-reading it.
+            self._disk_offset = span[1]
 
     def _refresh_from_disk(self) -> None:
-        """Fold lines other processes appended since the last look."""
-        assert self.path is not None
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return
-        if size < self._disk_offset:
-            # Truncated/replaced file: a new generation -- reload from
-            # scratch and forget which signatures the old file held.
-            self._disk_offset = 0
+        """Fold the lines appended since the last look, by any process."""
+        assert self._log is not None
+        read = self._log.read(self._disk_offset)
+        if read.offset < self._disk_offset:
+            # The file shrank: a new generation -- forget which
+            # signatures the old file held.
             self._disk_signatures.clear()
-        if size == self._disk_offset:
-            return
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._disk_offset)
-                blob = fh.read(size - self._disk_offset)
-        except OSError:
-            return
-        consumed = blob.rfind(b"\n")
-        if consumed < 0:
-            return  # a concurrent writer is mid-line; retry next refresh
-        for raw in blob[: consumed + 1].splitlines():
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                # Torn or corrupt line: quarantine (skip + count), keep
-                # the rest -- one damaged record must not void the file.
-                self._stats.corrupt_records += 1
-                continue
-            version = record.get("v") if isinstance(record, dict) else None
-            if version not in (1, DISK_FORMAT_VERSION):
-                self._stats.corrupt_records += 1
-                continue
-            signature = record.get("sig")
-            payload = record.get("entry")
-            if not isinstance(signature, str) or not isinstance(payload, dict):
-                self._stats.corrupt_records += 1
-                continue
-            if version == DISK_FORMAT_VERSION and record.get(
-                "sum"
-            ) != _line_checksum(signature, payload):
-                # Checksum mismatch: the line is complete JSON but its
-                # content was altered (bit rot, interleaved writers).
-                self._stats.corrupt_records += 1
-                continue
+        self._disk_offset = read.offset
+        self._stats.corrupt_records += read.corrupt
+        for signature, payload in read.records:
             try:
                 entry = CacheEntry.from_payload(payload)
             except (ValueError, TypeError):
-                # Complete JSON, plausible envelope, malformed fields (a
-                # v1 line never had a checksum to catch this): quarantine.
+                # An intact line with malformed fields: quarantine it.
                 self._stats.corrupt_records += 1
                 continue
-            self._entries[signature] = entry
+            self._remember(signature, entry)
             self._disk_signatures.add(signature)
-            self._entries.move_to_end(signature)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._stats.evictions += 1
-        self._disk_offset += consumed + 1

@@ -119,7 +119,7 @@ def _resolve_cache(args: argparse.Namespace):
 def _cmd_extract(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.cache import ExtractionCache
+    from repro.cache import CACHE_FILENAME, ExtractionCache
 
     html, code = _read_html_input(args.file)
     if html is None:
@@ -127,7 +127,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     use_cache, cache_dir = _resolve_cache(args)
     cache = None
     if cache_dir is not None:
-        cache = ExtractionCache(path=Path(cache_dir) / "extraction-cache.jsonl")
+        cache = ExtractionCache(path=Path(cache_dir) / CACHE_FILENAME)
     elif use_cache:
         cache = ExtractionCache()
     extractor = FormExtractor(cache=cache, resilience=args.resilient or None)

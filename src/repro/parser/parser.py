@@ -64,7 +64,7 @@ from __future__ import annotations
 import gc
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.grammar.grammar import TwoPGrammar
 from repro.grammar.instance import Instance
@@ -83,7 +83,7 @@ from repro.parser.core import (
 from repro.parser.maximization import covered_tokens, maximal_roots
 from repro.parser.schedule import Schedule
 from repro.tokens.model import Token
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.guard import ResourceGuard
@@ -162,6 +162,18 @@ class ParseStats:
     #: per-stage spans of :mod:`repro.observability`.
     construction_seconds: float = 0.0
     maximization_seconds: float = 0.0
+
+    @classmethod
+    def from_dict(cls, stored: dict[str, Any]) -> "ParseStats":
+        """Rebuild stored counters (a cache entry, a journal record).
+
+        Unknown fields, written by another version, are dropped; missing
+        ones take their defaults.
+        """
+        known = {spec.name for spec in fields(cls)}
+        return cls(**{
+            name: value for name, value in stored.items() if name in known
+        })
 
     @property
     def instances_alive(self) -> int:

@@ -65,7 +65,7 @@ from repro.batch.extractor import (
     _record_from_entry,
     _signature_for,
 )
-from repro.cache import ExtractionCache, grammar_fingerprint
+from repro.cache import CACHE_FILENAME, ExtractionCache, grammar_fingerprint
 from repro.extractor import ExtractionResult, FormExtractor
 from repro.observability.logs import get_logger, log_event
 from repro.observability.metrics import MetricsRegistry
@@ -160,7 +160,7 @@ class ExtractionService:
         self.cache: ExtractionCache | None = None
         if self.config.cache:
             cache_path = (
-                Path(self.config.cache_dir) / "extraction-cache.jsonl"
+                Path(self.config.cache_dir) / CACHE_FILENAME
                 if self.config.cache_dir is not None
                 else None
             )

@@ -1,6 +1,8 @@
-"""Unit tests for the resumable batch journal."""
+"""Unit tests for the resumable batch journal.
 
-import json
+The damage cases it shares with the disk cache run against both files in
+``tests/cache/test_log.py``.
+"""
 
 from repro.batch import BatchRecord
 from repro.batch.journal import BatchJournal, job_key
@@ -77,61 +79,3 @@ class TestOldCheckpoints:
         assert record.resumed
         assert record.stats == stats
         assert record.elapsed_seconds == 0.5
-
-
-class TestDamageTolerance:
-    def test_torn_trailing_line_is_quarantined(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        writer = BatchJournal(path)
-        writer.append("0:a", _payload("kept"))
-        writer.append("1:b", _payload("torn"))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-10])  # SIGKILL mid-write
-        reader = BatchJournal(path, resume=True)
-        assert reader.corrupt_lines == 1
-        assert reader.completed_payload("0:a") == _payload("kept")
-        assert reader.completed_payload("1:b") is None
-
-    def test_append_heals_a_torn_tail(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        writer = BatchJournal(path)
-        writer.append("0:a", _payload("kept"))
-        writer.append("1:b", _payload("torn"))
-        path.write_bytes(path.read_bytes()[:-10])
-        # A successor run appends more records after the torn tail; the
-        # new record must not fuse with the fragment.
-        BatchJournal(path).append("2:c", _payload("after"))
-        reader = BatchJournal(path, resume=True)
-        assert reader.corrupt_lines == 1
-        assert reader.completed_payload("0:a") == _payload("kept")
-        assert reader.completed_payload("2:c") == _payload("after")
-
-    def test_checksum_mismatch_is_quarantined(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        BatchJournal(path).append("0:a", _payload("original"))
-        line = json.loads(path.read_text())
-        line["record"]["model"]["name"] = "tampered"
-        path.write_text(json.dumps(line) + "\n")
-        reader = BatchJournal(path, resume=True)
-        assert reader.corrupt_lines == 1
-        assert reader.completed_payload("0:a") is None
-
-    def test_foreign_lines_are_quarantined(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text(
-            "not json at all\n"
-            '{"v": 99, "key": "0:a", "record": {}}\n'
-            '{"v": 1, "key": 7, "record": {}}\n'
-            "\n"
-        )
-        BatchJournal(path).append("0:a", _payload("good"))
-        reader = BatchJournal(path, resume=True)
-        assert reader.corrupt_lines == 3  # blank lines are not corruption
-        assert reader.completed_payload("0:a") == _payload("good")
-
-    def test_disk_trouble_is_swallowed(self, tmp_path):
-        # Checkpointing is best-effort: an unwritable journal must not
-        # fail the batch, and the in-memory view still advances.
-        journal = BatchJournal(tmp_path)  # a directory: open() fails
-        journal.append("0:a", _payload("memory-only"))
-        assert journal.completed_payload("0:a") == _payload("memory-only")

@@ -1,4 +1,8 @@
-"""The extraction cache store: LRU behavior and disk sharing."""
+"""The extraction cache store: LRU behavior and disk sharing.
+
+The damage cases the disk cache shares with the resume journal run
+against both files in ``tests/cache/test_log.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.cache import CacheEntry, ExtractionCache
+from repro.cache.log import AppendLog
 from repro.parser.parser import ParseStats
 from repro.semantics.condition import SemanticModel
 from repro.semantics.serialize import model_to_dict
@@ -101,6 +106,16 @@ class TestDiskBacking:
         first.put("tok:late", _entry("late"))
         assert second.get("tok:late") is not None
 
+    def test_appender_still_folds_a_siblings_earlier_appends(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        first = ExtractionCache(path=path)
+        second = ExtractionCache(path=path)
+        second.put("tok:from-second", _entry("second"))
+        first.put("tok:from-first", _entry("first"))
+        entry = first.get("tok:from-second")
+        assert entry is not None
+        assert entry.rebuild_model().missing == ["second"]
+
     def test_skips_torn_trailing_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         ExtractionCache(path=path).put("tok:a", _entry("a"))
@@ -112,18 +127,14 @@ class TestDiskBacking:
 
     def test_skips_corrupt_and_wrong_version_lines(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        good = {
-            "v": 1, "sig": "tok:good", "entry": _entry("good").to_payload()
-        }
         bad_version = {
             "v": 999, "sig": "tok:vnext", "entry": _entry("v").to_payload()
         }
         path.write_text(
-            "this is not json\n"
-            + json.dumps(bad_version) + "\n"
-            + json.dumps(good) + "\n",
+            "this is not json\n" + json.dumps(bad_version) + "\n",
             encoding="utf-8",
         )
+        AppendLog(path).append("tok:good", _entry("good").to_payload())
         reader = ExtractionCache(path=path)
         assert reader.get("tok:good") is not None
         assert reader.get("tok:vnext") is None
@@ -134,10 +145,8 @@ class TestDiskBacking:
         cache.put("tok:a", _entry("a"))
         cache.put("tok:b", _entry("b"))
         # Another process replaced the file with a shorter one.
-        line = json.dumps(
-            {"v": 1, "sig": "tok:new", "entry": _entry("new").to_payload()}
-        )
-        path.write_text(line + "\n", encoding="utf-8")
+        path.unlink()
+        AppendLog(path).append("tok:new", _entry("new").to_payload())
         assert cache.get("tok:new") is not None
 
     def test_missing_parent_directory_is_created(self, tmp_path):
@@ -145,46 +154,6 @@ class TestDiskBacking:
         ExtractionCache(path=path).put("tok:a", _entry("a"))
         assert path.exists()
         assert ExtractionCache(path=path).get("tok:a") is not None
-
-
-class TestChecksums:
-    def test_lines_carry_a_checksum(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        ExtractionCache(path=path).put("tok:a", _entry("a"))
-        line = json.loads(path.read_text())
-        assert line["v"] == 2
-        assert isinstance(line["sum"], int)
-
-    def test_tampered_line_is_quarantined(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        ExtractionCache(path=path).put("tok:a", _entry("a"))
-        line = json.loads(path.read_text())
-        line["entry"]["warnings"] = ["injected"]
-        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
-        reader = ExtractionCache(path=path)
-        assert reader.get("tok:a") is None
-        assert reader.stats.corrupt_records == 1
-        assert reader.stats.as_dict()["corrupt_records"] == 1
-
-    def test_v1_lines_load_without_checksum(self, tmp_path):
-        # Files written before the checksum format must keep working.
-        path = tmp_path / "cache.jsonl"
-        line = {"v": 1, "sig": "tok:old", "entry": _entry("old").to_payload()}
-        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
-        reader = ExtractionCache(path=path)
-        assert reader.get("tok:old") is not None
-        assert reader.stats.corrupt_records == 0
-
-    def test_corruption_counts_accumulate(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        ExtractionCache(path=path).put("tok:good", _entry("good"))
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("garbage\n")
-            fh.write(json.dumps({"v": 99, "sig": "tok:x", "entry": {}}) + "\n")
-            fh.write(json.dumps({"v": 2, "sig": 7, "entry": {}}) + "\n")
-        reader = ExtractionCache(path=path)
-        assert reader.get("tok:good") is not None
-        assert reader.stats.corrupt_records == 3
 
 
 class TestClearWithDiskBacking:
@@ -254,20 +223,17 @@ class TestDiskAppendDedup:
 
 
 class TestPayloadShapeValidation:
-    """Regression: malformed v1 fields must quarantine, not raise inside
-    the cache path (issue 7)."""
+    """Regression: malformed fields on an intact, checksummed line must
+    quarantine, not raise inside the cache path (issue 7)."""
 
     @pytest.mark.parametrize("stats", ["not-a-dict", [1, 2, 3], 7])
-    def test_v1_line_with_malformed_stats_is_quarantined(
+    def test_line_with_malformed_stats_is_quarantined(
         self, tmp_path, stats
     ):
         path = tmp_path / "cache.jsonl"
         payload = _entry("bad").to_payload()
         payload["stats"] = stats
-        path.write_text(
-            json.dumps({"v": 1, "sig": "tok:bad", "entry": payload}) + "\n",
-            encoding="utf-8",
-        )
+        AppendLog(path).append("tok:bad", payload)
         reader = ExtractionCache(path=path)
         assert reader.get("tok:bad") is None
         assert reader.stats.corrupt_records == 1
@@ -277,16 +243,13 @@ class TestPayloadShapeValidation:
         [("model", "oops"), ("model", [1]), ("warnings", "oops"),
          ("warnings", [{"w": 1}])],
     )
-    def test_v1_line_with_malformed_field_is_quarantined(
+    def test_line_with_malformed_field_is_quarantined(
         self, tmp_path, field_name, value
     ):
         path = tmp_path / "cache.jsonl"
         payload = _entry("bad").to_payload()
         payload[field_name] = value
-        path.write_text(
-            json.dumps({"v": 1, "sig": "tok:bad", "entry": payload}) + "\n",
-            encoding="utf-8",
-        )
+        AppendLog(path).append("tok:bad", payload)
         reader = ExtractionCache(path=path)
         assert reader.get("tok:bad") is None
         assert reader.stats.corrupt_records == 1
@@ -295,13 +258,8 @@ class TestPayloadShapeValidation:
         path = tmp_path / "cache.jsonl"
         bad = _entry("bad").to_payload()
         bad["stats"] = "broken"
-        path.write_text(
-            json.dumps({"v": 1, "sig": "tok:bad", "entry": bad}) + "\n"
-            + json.dumps(
-                {"v": 1, "sig": "tok:good", "entry": _entry("g").to_payload()}
-            ) + "\n",
-            encoding="utf-8",
-        )
+        AppendLog(path).append("tok:bad", bad)
+        AppendLog(path).append("tok:good", _entry("g").to_payload())
         reader = ExtractionCache(path=path)
         good = reader.get("tok:good")
         assert good is not None
