@@ -46,10 +46,11 @@ back as records with ``error`` set (best-effort at the batch level, just
 as the parser is best-effort at the form level).  Three fault-tolerance
 layers back that contract up:
 
-* **Per-form timeout** -- a worker-side watchdog (``SIGALRM`` where
-  available) aborts a form stuck past ``timeout`` seconds and reports it
-  as a ``Timeout:`` error record, keeping the worker alive for the rest
-  of the batch.
+* **Per-form deadline** -- ``timeout`` is the deadline of the
+  extractor's guard, which every stage checks on any thread: a breach is
+  a ``Timeout:`` error record, or under the ladder a ``capped`` model.
+  A ``SIGALRM`` backstop (:func:`_watchdog`) stops code that never checks
+  the guard; the worker survives for the rest of the batch.
 * **Retry with backoff** -- ``retries=N`` re-runs a failed form up to
   ``N`` extra times (exponential backoff from ``retry_backoff``) before
   its error record becomes final; :attr:`BatchRecord.attempts` reports
@@ -93,7 +94,7 @@ from repro.extractor import ExtractionResult, FormExtractor
 from repro.observability.logs import get_logger, log_event
 from repro.observability.trace import Trace
 from repro.parser.parser import ParserConfig, ParseStats
-from repro.resilience.guard import BudgetExceeded, ResourceGuard, ResourceLimits
+from repro.resilience.guard import BudgetExceeded
 from repro.resilience.ladder import ResilienceConfig
 from repro.semantics.condition import SemanticModel
 from repro.semantics.serialize import model_from_dict, model_to_dict
@@ -107,9 +108,16 @@ _logger = get_logger("repro.batch")
 #: pickles by reference.
 CustomJob = Callable[[FormExtractor, Any], ExtractionResult]
 
+#: The ``SIGALRM`` backstop fires at ``BACKSTOP_SLACK`` times a form's
+#: deadline, and never before ``BACKSTOP_MIN_SECONDS``: after the guard's
+#: deadline the ladder still merges or falls back (~10 ms on an 80-field
+#: form), and the backstop must not cut that short.
+BACKSTOP_SLACK = 3.0
+BACKSTOP_MIN_SECONDS = 1.0
+
 
 class ExtractionTimeout(Exception):
-    """A form exceeded the per-form extraction timeout."""
+    """A form ran past the ``SIGALRM`` backstop of its deadline."""
 
 
 @dataclass
@@ -473,16 +481,15 @@ def _require_worker_extractor() -> FormExtractor:
 
 @contextmanager
 def _watchdog(timeout: float | None):
-    """Abort the enclosed block after *timeout* seconds.
+    """Abort the enclosed block at the backstop time of *timeout*.
 
-    Implemented with ``SIGALRM``/``setitimer``, which interrupts pure-
-    Python work from inside the process -- the worker survives to take the
-    next form.  Yields True when the timer is armed.  Where the signal
-    cannot be hosted (non-main thread, non-Unix platforms, or a handler
-    registration that loses a thread race) it yields False and the caller
-    falls back to a cooperative guard deadline instead of crashing with
-    ``ValueError``; the pool-recovery layer still bounds the damage a
-    truly stuck worker can do.
+    The backstop for code that never checks the guard's deadline, with
+    ``SIGALRM``/``setitimer``, which interrupts pure-Python work from
+    inside the process -- the worker survives to take the next form.
+    Where the signal cannot be hosted (non-main thread, non-Unix
+    platforms, or a handler registration that loses a thread race) the
+    block runs without it: the guard's deadline still bounds the stages,
+    and pool recovery bounds a truly stuck worker.
     """
     usable = (
         timeout is not None
@@ -491,50 +498,27 @@ def _watchdog(timeout: float | None):
         and threading.current_thread() is threading.main_thread()
     )
     if not usable:
-        yield False
+        yield
         return
+    seconds = max(BACKSTOP_SLACK * timeout, BACKSTOP_MIN_SECONDS)
 
     def _on_alarm(signum, frame):  # noqa: ARG001 - signal handler signature
-        raise ExtractionTimeout()
+        raise ExtractionTimeout(f"backstop at {seconds:g}s")
 
     try:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
     except ValueError:
         # signal.signal re-checks the thread; a main-thread check that
         # passed above can still lose (embedded interpreters, exotic
-        # threading): degrade to the guard fallback rather than die.
-        yield False
+        # threading): run without the backstop rather than die.
+        yield
         return
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        yield True
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def _deadline_guard(
-    extractor: FormExtractor, timeout: float | None, armed: bool
-) -> ResourceGuard | None:
-    """The cooperative fallback when the SIGALRM watchdog is unavailable.
-
-    A raise-mode guard carrying only the wall-clock deadline (all other
-    budgets off, so behavior matches the signal watchdog as closely as a
-    cooperative check can).  Not used when the extractor runs the
-    resilience ladder -- the ladder's own degrade-mode guard already
-    bounds the form.
-    """
-    if armed or timeout is None or timeout <= 0:
-        return None
-    if extractor.resilience is not None:
-        return None
-    limits = ResourceLimits(
-        deadline_seconds=timeout,
-        max_input_bytes=None,
-        max_nodes=None,
-        max_tokens=None,
-    )
-    return ResourceGuard(limits=limits, mode="raise").start()
 
 
 def _extract_one(
@@ -547,27 +531,21 @@ def _extract_one(
     """Run one form through *extractor*; failures become error records."""
     started = time.perf_counter()
     try:
-        with _watchdog(timeout) as armed:
-            guard = _deadline_guard(extractor, timeout, armed)
+        with _watchdog(timeout):
             if kind == "html":
-                result = extractor.extract_detailed(payload, guard=guard)
+                result = extractor.extract_detailed(payload, deadline=timeout)
             elif kind == "tokens":
-                result = extractor.extract_from_tokens(payload, guard=guard)
+                result = extractor.extract_from_tokens(
+                    payload, deadline=timeout
+                )
             else:  # "custom"
                 job_fn, arg = payload
                 result = job_fn(extractor, arg)
-    except ExtractionTimeout:
+    except (ExtractionTimeout, BudgetExceeded) as exc:
         return BatchRecord(
             index=index,
             elapsed_seconds=time.perf_counter() - started,
-            error=f"Timeout: extraction exceeded {timeout:g}s",
-        )
-    except BudgetExceeded as exc:
-        return BatchRecord(
-            index=index,
-            elapsed_seconds=time.perf_counter() - started,
-            error=f"Timeout: extraction exceeded {timeout:g}s "
-                  f"(cooperative deadline: {exc})",
+            error=f"Timeout: extraction exceeded {timeout:g}s ({exc})",
         )
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         return BatchRecord(
@@ -710,9 +688,12 @@ class BatchExtractor:
         parser_config: Optional :class:`ParserConfig` shipped to workers.
         chunksize: Inputs dispatched per IPC round-trip.  Default: split
             the batch into about four waves per worker, minimum one input.
-        timeout: Per-form wall-clock budget in seconds (``None`` = no
-            limit).  Enforced by a worker-side watchdog; a form over
-            budget becomes a ``Timeout:`` error record.
+        timeout: Per-form deadline in seconds (``None`` = no limit), the
+            deadline of every form's guard: a breach is a ``Timeout:``
+            error record, or a ``capped`` model under *resilience*.  A
+            ``SIGALRM`` backstop at ``BACKSTOP_SLACK`` times it (at least
+            ``BACKSTOP_MIN_SECONDS``) stops code that never checks the
+            guard, custom jobs included.
         retries: Extra attempts for a failed form before its error record
             is final (default 0 -- extraction is deterministic, so retries
             only help against transient faults: crashes, timeouts under
@@ -877,7 +858,7 @@ class BatchExtractor:
         points and reused across calls.
 
         *timeout* overrides the extractor-level per-form timeout for this
-        submission (the worker-side ``SIGALRM`` watchdog backstop).
+        submission; a custom job sees only its ``SIGALRM`` backstop.
 
         The future resolves to a :class:`BatchRecord` -- per-form
         failures come back as records with ``error`` set, exactly like

@@ -497,7 +497,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                           help="print the per-stage timing summary "
                                "to stderr")
     evaluate.add_argument("--timeout", type=_positive_seconds, default=None,
-                          help="per-form extraction budget in seconds")
+                          help="per-form extraction deadline in seconds: "
+                               "a form past it fails, or with --resilient "
+                               "its model degrades")
     evaluate.add_argument("--retries", type=_retry_count, default=0,
                           help="extra attempts for failed forms "
                                "(default 0)")

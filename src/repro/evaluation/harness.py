@@ -121,8 +121,9 @@ class EvaluationHarness:
         metrics: Registry receiving one trace per evaluated source plus
             batch fault counters (default-extractor path only -- a custom
             callable yields no traces).
-        timeout: Per-form extraction budget in seconds, enforced by the
-            batch engine's watchdog (default-extractor path only).
+        timeout: Per-form extraction deadline in seconds, enforced by
+            the extractor's guard (default-extractor path only): a breach
+            is an error record, or with *resilience* a ``capped`` model.
         retries: Extra attempts for failed forms before their error
             record is final.
         cache: Extraction cache for the batch engine (``True`` for a

@@ -19,16 +19,17 @@ that runs records a span with its duration, counters and tags on a
 :class:`~repro.observability.Trace`, available on
 :attr:`ExtractionResult.trace` and folded into a
 :class:`~repro.observability.MetricsRegistry`.  Without the degradation
-ladder a stage's exception propagates; under it
-(:meth:`FormExtractor.extract_resilient`) the same stages share one
-degrade-mode guard and the ladder grades what they returned.  The
-extractor is best-effort by design, so degradations (no ``<form>``
-element, budget truncation) are *surfaced* as warnings and tags, never
-silently absorbed.
+ladder a stage's exception propagates, a breached per-form ``deadline``
+included; under it (:meth:`FormExtractor.extract_resilient`) the same
+stages share one degrade-mode guard and the ladder grades what they
+returned.  The extractor is best-effort by design, so degradations (no
+``<form>`` element, budget truncation) are *surfaced* as warnings and
+tags, never silently absorbed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass, field
 
@@ -49,7 +50,7 @@ from repro.parser.parser import (
     ParserConfig,
     ParseStats,
 )
-from repro.resilience.guard import ResourceGuard
+from repro.resilience.guard import ResourceGuard, ResourceLimits
 from repro.resilience.ladder import (
     LEVEL_CAPPED,
     LEVEL_FULL,
@@ -65,6 +66,11 @@ from repro.tokens.tokenizer import FormTokenizer
 from repro.tokens.model import Token
 
 _logger = get_logger("repro.extractor")
+
+#: Without the ladder a guard carries only the caller's deadline.
+_DEADLINE_ONLY = ResourceLimits(
+    max_input_bytes=None, max_nodes=None, max_tokens=None
+)
 
 
 class FormNotFoundError(LookupError):
@@ -204,14 +210,15 @@ class FormExtractor:
         self,
         html: str,
         form_index: int = 0,
-        guard: ResourceGuard | None = None,
+        deadline: float | None = None,
     ) -> ExtractionResult:
         """Extract, returning the full pipeline trace.
 
-        A raise-mode *guard* (the batch engine's deadline fallback) is
-        threaded through every stage; with :attr:`resilience` configured
-        and no explicit guard, extraction runs under the degradation
-        ladder instead (see :meth:`extract_resilient`).
+        With :attr:`resilience` configured, extraction runs under the
+        degradation ladder (see :meth:`extract_resilient`).  A *deadline*
+        in seconds bounds the stages cooperatively: under the ladder a
+        breach caps the result, without it a breach raises
+        :class:`~repro.resilience.guard.BudgetExceeded`.
 
         Raises:
             FormNotFoundError: *form_index* is out of range for the
@@ -220,28 +227,28 @@ class FormExtractor:
                 (some sites write bare controls), but the fallback is
                 recorded in the result's trace and warnings.
         """
-        ladder = self.resilience if guard is None else None
         return self._run(
-            Trace(), guard, ladder, html=html, form_index=form_index
+            Trace(), self.resilience, deadline,
+            html=html, form_index=form_index,
         )
 
     def extract_from_tokens(
         self,
         tokens: list[Token],
         trace: Trace | None = None,
-        guard: ResourceGuard | None = None,
+        deadline: float | None = None,
     ) -> ExtractionResult:
         """Run the stages from ``cache`` on over an existing token set.
 
         With a :attr:`cache` configured, a token-signature hit replays the
         stored outcome (the trace is tagged ``cache_hit``) instead of
         parsing; a miss parses normally and stores the result.  With
-        :attr:`resilience` configured and no explicit guard, the stages
-        run under the degradation ladder.
+        :attr:`resilience` configured, the stages run under the
+        degradation ladder; *deadline* bounds them as in
+        :meth:`extract_detailed`.
         """
-        ladder = self.resilience if guard is None else None
         trace = trace if trace is not None else Trace()
-        return self._run(trace, guard, ladder, tokens=tokens)
+        return self._run(trace, self.resilience, deadline, tokens=tokens)
 
     def extract_resilient(
         self,
@@ -265,29 +272,34 @@ class FormExtractor:
         stored.
         """
         ladder = config or self.resilience or ResilienceConfig()
-        return self._run(
-            Trace(), None, ladder, html=html, form_index=form_index
-        )
+        return self._run(Trace(), ladder, html=html, form_index=form_index)
 
     # -- the stages and the ladder -------------------------------------------------
 
     def _run(
         self,
         trace: Trace,
-        guard: ResourceGuard | None,
         ladder: ResilienceConfig | None,
+        deadline: float | None = None,
         html: str = "",
         form_index: int = 0,
         tokens: list[Token] | None = None,
     ) -> ExtractionResult:
         """Run the stages from HTML, or from ``cache`` on given *tokens*.
 
-        Without a *ladder* a stage's exception propagates.  With one, all
-        stages share one degrade-mode guard and every failure or breach
-        becomes a :class:`DegradationReport`.
+        The one place a per-form guard is built.  With a *ladder*, all
+        stages share one degrade-mode guard on its limits, *deadline*
+        replacing theirs, and every failure or breach becomes a
+        :class:`DegradationReport`.  Without one a stage's exception
+        propagates, and a *deadline* arms a raise-mode guard.
         """
-        if ladder is not None:
-            guard = ResourceGuard(limits=ladder.limits, mode="degrade").start()
+        guard: ResourceGuard | None = None
+        if ladder is not None or deadline is not None:
+            limits = ladder.limits if ladder is not None else _DEADLINE_ONLY
+            if deadline is not None:
+                limits = dataclasses.replace(limits, deadline_seconds=deadline)
+            mode = "degrade" if ladder is not None else "raise"
+            guard = ResourceGuard(limits=limits, mode=mode).start()
         reports: list[DegradationReport] = []
         parse: ParseResult | None = None
         report: MergeReport | None = None

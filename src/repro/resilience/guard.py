@@ -8,15 +8,18 @@ interrupted by signals.  That keeps the mechanism portable (worker
 threads, Windows, nested pools) and lets stages stop at a clean point
 where partial output is still coherent.
 
-Two modes:
+Two modes, both built by ``FormExtractor._run``, the one place a
+per-form guard is made:
 
-* ``mode="raise"`` -- a breach raises :class:`BudgetExceeded`.  Used
-  where no partial result is wanted (the batch engine's deadline
-  fallback when ``SIGALRM`` is unavailable).
+* ``mode="raise"`` -- a breach raises :class:`BudgetExceeded`.  This is a
+  deadline without the ladder: the guard carries only the caller's
+  deadline (batch's ``timeout``), and a breach becomes a ``Timeout:``
+  error record.
 * ``mode="degrade"`` -- a breach records a :class:`GuardEvent` and the
   check returns a "stop now" answer; the stage truncates its output and
   the degradation ladder reports the event as a downgrade.  This is the
-  paper-faithful best-effort behavior.
+  paper-faithful best-effort behavior, and the caller's deadline, when
+  given, replaces the ladder's ``deadline_seconds``.
 
 Deadline checks are strided (:meth:`ResourceGuard.tick`) so hot loops
 pay one integer test per iteration and a clock read only every

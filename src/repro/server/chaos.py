@@ -127,7 +127,7 @@ class ChaosMonkey:
 
     # -- injected seams -----------------------------------------------------------
 
-    async def _chaotic_submit(self, arg, watchdog):
+    async def _chaotic_submit(self, arg, deadline):
         from concurrent.futures.process import BrokenProcessPool
 
         if self.config.delay_seconds:
@@ -137,7 +137,7 @@ class ChaosMonkey:
         if every is not None and self.counters.submissions % every == 0:
             self.counters.crashes_injected += 1
             raise BrokenProcessPool("chaos: injected worker crash")
-        return await self._real_submit(arg, watchdog)
+        return await self._real_submit(arg, deadline)
 
     def _cache_write_fault(self) -> None:
         self.counters.cache_writes += 1

@@ -37,11 +37,6 @@ class ServerConfig:
         default_deadline_seconds: Per-request wall-clock budget when the
             request does not carry ``deadline_seconds`` itself.
         max_deadline_seconds: Hard ceiling on client-requested deadlines.
-        watchdog_slack: Multiplier on the request deadline for the
-            worker-side ``SIGALRM`` backstop.  The cooperative ladder
-            guard should always fire first (HTTP 200, degraded model);
-            the watchdog only catches a worker wedged in non-cooperative
-            code.
         max_body_bytes: Request bodies above this are refused with 413
             before any parsing work happens.
         max_batch_items: Ceiling on ``POST /batch`` list length.
@@ -56,9 +51,8 @@ class ServerConfig:
             fingerprint, so a grammar change invalidates the cache
             logically -- no ``rm -rf`` of the cache dir.  ``DELETE
             /cache`` bumps the live generation the same way.
-        limits: Base degradation-ladder budgets; each request runs under
-            a copy with ``deadline_seconds`` replaced by its own
-            deadline.
+        limits: Degradation-ladder budgets of the workers' extractors;
+            each request's own deadline replaces ``deadline_seconds``.
         retry_after_seconds: Floor for the ``Retry-After`` hint on shed
             responses (the live estimate, when higher, wins).
         drain_seconds: Graceful-shutdown allowance for in-flight requests
@@ -98,7 +92,6 @@ class ServerConfig:
     max_queue: int = 64
     default_deadline_seconds: float = 10.0
     max_deadline_seconds: float = 30.0
-    watchdog_slack: float = 3.0
     max_body_bytes: int = 2_000_000
     max_batch_items: int = 256
     cache: bool = True
@@ -134,8 +127,6 @@ class ServerConfig:
             raise ValueError(
                 "max_deadline_seconds must be >= default_deadline_seconds"
             )
-        if self.watchdog_slack < 1.0:
-            raise ValueError("watchdog_slack must be >= 1.0")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
         if self.max_batch_items < 1:

@@ -25,11 +25,11 @@ every cached signature logically without touching the disk file.
 Everything below the admission gate is the substrate from PRs 1-4: the
 content-addressed :class:`~repro.cache.ExtractionCache`, the persistent
 :class:`~repro.batch.BatchExtractor` pool (reused via its
-:meth:`~repro.batch.BatchExtractor.submit_custom` bridge), and
-:meth:`~repro.extractor.FormExtractor.extract_resilient` with the
-request's own deadline mapped onto the guard limits -- a hostile payload
-degrades to a cheaper model and still returns HTTP 200, it never kills a
-worker or the event loop.
+:meth:`~repro.batch.BatchExtractor.submit_custom` bridge), and the
+degradation ladder of its workers' extractors with the request's own
+deadline as the guard's deadline -- a hostile payload degrades to a
+cheaper model and still returns HTTP 200, it never kills a worker or the
+event loop.
 
 Load shedding has two triggers, both answered as HTTP 429 upstream:
 
@@ -45,7 +45,6 @@ Load shedding has two triggers, both answered as HTTP 429 upstream:
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import functools
 import itertools
 import logging
@@ -69,7 +68,6 @@ from repro.cache import CACHE_FILENAME, ExtractionCache, grammar_fingerprint
 from repro.extractor import ExtractionResult, FormExtractor
 from repro.observability.logs import get_logger, log_event
 from repro.observability.metrics import MetricsRegistry
-from repro.resilience.guard import ResourceLimits
 from repro.resilience.ladder import LEVEL_FULL, ResilienceConfig
 from repro.server.breaker import CircuitBreaker
 from repro.server.config import ServerConfig
@@ -100,18 +98,16 @@ class ServiceUnavailable(Exception):
 
 
 def _serve_job(
-    extractor: FormExtractor, arg: tuple[str, int, ResourceLimits]
+    extractor: FormExtractor, arg: tuple[str, int, float]
 ) -> ExtractionResult:
     """Worker-side job for one served request (module-level: pickles).
 
-    Runs the full degradation ladder with the *request's* limits -- the
-    per-request deadline arrives here as ``limits.deadline_seconds``, so
-    a breach degrades the model instead of erroring the record.
+    The worker's extractor runs the degradation ladder; the request's
+    deadline reaches its guard, so a breach degrades the model instead
+    of erroring the record.
     """
-    html, form_index, limits = arg
-    return extractor.extract_resilient(
-        html, form_index, config=ResilienceConfig(limits=limits)
-    )
+    html, form_index, deadline = arg
+    return extractor.extract_detailed(html, form_index, deadline=deadline)
 
 
 @dataclass
@@ -167,7 +163,10 @@ class ExtractionService:
             self.cache = ExtractionCache(
                 capacity=self.config.cache_capacity, path=cache_path
             )
-        self._batch = BatchExtractor(jobs=self.workers)
+        self._batch = BatchExtractor(
+            jobs=self.workers,
+            resilience=ResilienceConfig(limits=self.config.limits),
+        )
         # jobs=1 extracts in this process, so it still leaves the event
         # loop: one worker thread, where the ladder's cooperative deadline
         # bounds each request.
@@ -564,13 +563,9 @@ class ExtractionService:
     async def _dispatch(
         self, html: str, form_index: int, deadline: float
     ) -> BatchRecord:
-        limits = dataclasses.replace(
-            self.config.limits, deadline_seconds=deadline
-        )
-        arg = (html, form_index, limits)
-        watchdog = deadline * self.config.watchdog_slack
+        arg = (html, form_index, deadline)
         try:
-            record = await self._submit(arg, watchdog)
+            record = await self._submit(arg, deadline)
         except BrokenProcessPool:
             # A worker died under this request (or a neighbour's).  Tear
             # the pool down and retry once on a fresh one -- extraction
@@ -582,7 +577,7 @@ class ExtractionService:
             )
             self._restart_workers()
             try:
-                record = await self._submit(arg, watchdog)
+                record = await self._submit(arg, deadline)
             except BrokenProcessPool as exc:
                 self.metrics.inc("serve.worker_crashes")
                 self.breaker.record_failure()
@@ -593,16 +588,17 @@ class ExtractionService:
         self.breaker.record_success()
         return record
 
-    async def _submit(self, arg: tuple, watchdog: float) -> BatchRecord:
+    async def _submit(self, arg: tuple, deadline: float) -> BatchRecord:
         """One raw submission to the workers (the chaos-injection seam).
 
         Every path to the pool -- or the jobs=1 worker thread -- funnels
         through here, so the chaos harness can wrap exactly this method
         to inject :class:`BrokenProcessPool` and latency, exercising the
-        *real* restart/breaker recovery above it.
+        *real* restart/breaker recovery above it.  The *deadline* also
+        arms the batch engine's ``SIGALRM`` backstop, in pool workers.
         """
         submit = functools.partial(
-            self._batch.submit_custom, _serve_job, arg, timeout=watchdog
+            self._batch.submit_custom, _serve_job, arg, timeout=deadline
         )
         if self._thread is None:
             future = submit()

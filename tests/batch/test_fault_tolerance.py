@@ -10,15 +10,20 @@ records marked ``error`` and everything else intact and in input order.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
 
 import repro.batch.extractor as batch_module
 from repro.batch import BatchExtractor, BatchStream
+from repro.layout.engine import layout_document
+from tests.fuzz.mutator import mutant
 
 TINY_FORM = "<form>Title: <input name=title size=12></form>"
 OTHER_FORM = "<form>Author: <input name=author size=12></form>"
+#: 386 tokens that take about 3 s to parse in full.
+_, WIDE_FORM = mutant(20040613, 112)
 
 
 # -- injectable jobs (module-level: they must pickle by reference) ---------------
@@ -142,6 +147,83 @@ class TestTimeouts:
             BatchExtractor(timeout=0)
         with pytest.raises(ValueError):
             BatchExtractor(timeout=-1.0)
+
+    @pytest.mark.parametrize("resilience", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize("leg", ["main", "worker", "pool"])
+    def test_deadline_outcome_ignores_thread_and_jobs(self, leg, resilience):
+        # One deadline policy: the guard's deadline decides, on any
+        # thread and for any jobs value.
+        def run():
+            with BatchExtractor(
+                jobs=2 if leg == "pool" else 1,
+                timeout=0.3,
+                resilience=resilience,
+            ) as batch:
+                return batch.extract_html([WIDE_FORM]).records[0]
+
+        if leg == "worker":
+            box = []
+            thread = threading.Thread(target=lambda: box.append(run()))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            (record,) = box
+        else:
+            record = run()
+        if resilience:
+            assert record.ok, record.error
+            assert any(
+                "degraded to capped" in warning
+                and "deadline budget hit" in warning
+                for warning in record.warnings
+            ), record.warnings
+        else:
+            assert record.error.startswith("Timeout:")
+
+    @pytest.mark.parametrize("resilience", [False, True], ids=["off", "on"])
+    def test_backstop_stops_a_stage_that_ignores_the_guard(
+        self, monkeypatch, resilience
+    ):
+        def stalled_layout(*args, **kwargs):
+            time.sleep(5)  # never checks the guard
+
+        monkeypatch.setattr("repro.extractor.layout_document", stalled_layout)
+        assert threading.current_thread() is threading.main_thread()
+        started = time.perf_counter()
+        report = BatchExtractor(
+            jobs=1, timeout=0.1, resilience=resilience
+        ).extract_html([TINY_FORM])
+        elapsed = time.perf_counter() - started
+        (record,) = report.records
+        # The backstop fires well after the cooperative deadline (3 x
+        # timeout, at least 1 s), so the two never race for the outcome.
+        assert elapsed >= 0.3
+        if resilience:
+            assert record.ok, record.error
+            assert record.trace["tags"]["degrade.level"] == "minimal"
+        else:
+            assert record.error.startswith("Timeout:")
+
+    def test_backstop_leaves_a_tiny_deadline_to_the_guard(self, monkeypatch):
+        # 3 x a 5 ms deadline would fire inside a stage that overruns it
+        # by 0.1 s and then finishes; the 1 s floor lets the guard's
+        # deadline decide the outcome instead.
+        def slow_layout(*args, **kwargs):
+            time.sleep(0.1)
+            return layout_document(*args, **kwargs)
+
+        monkeypatch.setattr("repro.extractor.layout_document", slow_layout)
+        report = BatchExtractor(
+            jobs=1, timeout=0.005, resilience=True
+        ).extract_html([TINY_FORM])
+        (record,) = report.records
+        assert record.ok, record.error
+        assert any(
+            "deadline budget hit" in warning for warning in record.warnings
+        ), record.warnings
+        assert not any(
+            "ExtractionTimeout" in warning for warning in record.warnings
+        ), record.warnings
 
 
 class TestRetries:

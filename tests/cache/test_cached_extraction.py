@@ -14,15 +14,25 @@ from repro.extractor import FormExtractor
 from repro.semantics.serialize import model_to_dict
 
 
+#: Bare controls with no ``<form>`` element: extraction tokenizes the
+#: whole page and warns (``form_fallback``).
+NO_FORM_HTML = (
+    "<html><body><b>Title</b> <input name=title size=20> "
+    "<b>Author</b> <input name=author size=20> "
+    "<input type=submit value=Search></body></html>"
+)
+
+
 def _fixture_sources():
-    """A spread of dataset fixtures: the paper's QAM page plus one
-    generated source per domain."""
+    """A spread of dataset fixtures: the paper's QAM page, one generated
+    source per domain and a page without a ``<form>``."""
     profile = GeneratorProfile(min_conditions=2, max_conditions=5)
     sources = [QAM_HTML]
     for i, name in enumerate(sorted(DOMAINS)):
         sources.append(
             SourceGenerator(DOMAINS[name], profile).generate(71_000 + i).html
         )
+    sources.append(NO_FORM_HTML)
     return sources
 
 
@@ -50,6 +60,23 @@ class TestCachedEquivalence:
             miss.parse.stats
         )
         assert hit.parse.stats.counters() == fresh.parse.stats.counters()
+        assert hit.warnings == miss.warnings == fresh.warnings
+        # The stages before the cache run on a hit too, and count the
+        # same work; the replayed stats are the miss's parse counters.
+        for stage in ("html-parse", "layout", "tokenize"):
+            assert (
+                hit.trace.span_named(stage).counters
+                == miss.trace.span_named(stage).counters
+            ), stage
+        assert (
+            hit.parse.stats.counters()
+            == miss.trace.span_named("parse.construct").counters
+        )
+
+    def test_no_form_fixture_takes_the_fallback(self):
+        result = FormExtractor().extract_detailed(NO_FORM_HTML)
+        assert result.trace.tags.get("form_fallback") is True
+        assert result.warnings
 
     def test_hit_never_aliases_the_stored_result(self):
         extractor = FormExtractor(cache=ExtractionCache())

@@ -300,6 +300,17 @@ class TestPooledMode:
             record["error"] is None for record in payload["records"]
         )
 
+    def test_tight_deadline_degrades_on_the_pool(self, live_server):
+        live = live_server(jobs=2, cache=False)
+        status, _, payload = live.post_json(
+            "/extract",
+            {"html": heavy_form_html(), "deadline_seconds": 0.005},
+            timeout=120,
+        )
+        assert status == 200
+        assert payload["error"] is None
+        assert payload["degrade"]["level"] != "full"
+
 
 class TestHealthEndpoints:
     def test_livez_is_alive_and_readyz_is_ok(self, live_server):

@@ -23,12 +23,11 @@ from repro.datasets.repository import standard_datasets
 from repro.extractor import FormExtractor
 from repro.html.parser import parse_html
 from repro.parser.parser import BestEffortParser
-from repro.resilience.guard import ResourceLimits
 from repro.server.service import _serve_job
 from repro.tokens.tokenizer import FormTokenizer
 
-#: Generous: the SIGALRM watchdog of ``_extract_one`` is armed but never
-#: expected to fire.
+#: Generous: the deadline of ``_extract_one`` (and the SIGALRM backstop it
+#: arms on the main thread) is never expected to fire.
 TIMEOUT = 60.0
 
 
@@ -95,9 +94,14 @@ class TestNoCyclicGarbage:
 
         assert unreachable_after(run, pages) == 0
 
-    def test_batch_serve_job(self, extractor, pages):
+    def test_batch_serve_job(self, pages):
+        # As serve's workers run it: a ladder extractor, the request's
+        # deadline passed through to its guard.
+        extractor = FormExtractor(resilience=True)
+        extractor.warmup()
+
         def run(html):
-            payload = (_serve_job, (html, 0, ResourceLimits()))
+            payload = (_serve_job, (html, 0, TIMEOUT))
             record = _extract_one(extractor, "custom", 0, payload, TIMEOUT)
             assert record.error is None
 
