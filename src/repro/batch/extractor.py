@@ -535,8 +535,9 @@ def _extract_one(
             if kind == "html":
                 result = extractor.extract_detailed(payload, deadline=timeout)
             elif kind == "tokens":
-                result = extractor.extract_from_tokens(
-                    payload, deadline=timeout
+                tokens, signature = payload
+                result = extractor._extract_signed_tokens(
+                    tokens, signature, deadline=timeout
                 )
             else:  # "custom"
                 job_fn, arg = payload
@@ -639,9 +640,16 @@ def _record_from_entry(entry: CacheEntry, index: int) -> BatchRecord:
 
 def _cache_record(cache: ExtractionCache, signature: str, record: BatchRecord) -> None:
     """Store *record* under *signature*, if it may answer later lookups:
-    as in the extractor, only ok, ``full``-level records are stored."""
+    as in the extractor, only ok, ``full``-level records are stored, and
+    not again where the extractor that ran the job, sharing this cache
+    (``jobs=1``), already stored a token input under its signature."""
     tags = (record.trace or {}).get("tags", {})
-    if record.ok and record.model is not None and "degrade.level" not in tags:
+    if (
+        record.ok
+        and record.model is not None
+        and "degrade.level" not in tags
+        and signature not in cache
+    ):
         cache.put(
             signature,
             CacheEntry.from_parts(record.model, record.stats, record.warnings),
@@ -952,7 +960,11 @@ class BatchExtractor:
         try:
             signatures = [_signature_for(kind, payload) for payload in items]
             keys, resumed = self._resolve_journal(signatures, info)
-            payloads = dict(enumerate(items))
+            # A token job carries its signature, so the extractor that
+            # runs it does not hash the tokens again.
+            payloads = dict(enumerate(
+                zip(items, signatures) if kind == "tokens" else items
+            ))
             attempts = {index: 0 for index in payloads}
             results: dict[int, BatchRecord] = dict(resumed)
             remaining = set(payloads) - results.keys()

@@ -250,6 +250,21 @@ class FormExtractor:
         trace = trace if trace is not None else Trace()
         return self._run(trace, self.resilience, deadline, tokens=tokens)
 
+    def _extract_signed_tokens(
+        self,
+        tokens: list[Token],
+        signature: str | None,
+        deadline: float | None = None,
+    ) -> ExtractionResult:
+        """:meth:`extract_from_tokens` for the batch parent, which already
+        signed the tokens with :func:`~repro.cache.token_signature`, so
+        they are not hashed again.  *signature* is trusted as the cache
+        key; ``None`` hashes the tokens as usual."""
+        return self._run(
+            Trace(), self.resilience, deadline, tokens=tokens,
+            signature=signature,
+        )
+
     def extract_resilient(
         self,
         html: str,
@@ -284,8 +299,10 @@ class FormExtractor:
         html: str = "",
         form_index: int = 0,
         tokens: list[Token] | None = None,
+        signature: str | None = None,
     ) -> ExtractionResult:
-        """Run the stages from HTML, or from ``cache`` on given *tokens*.
+        """Run the stages from HTML, or from ``cache`` on given *tokens*
+        (and their *signature*, when the caller has it).
 
         The one place a per-form guard is built.  With a *ladder*, all
         stages share one degrade-mode guard on its limits, *deadline*
@@ -304,7 +321,6 @@ class FormExtractor:
         parse: ParseResult | None = None
         report: MergeReport | None = None
         stats: ParseStats | None = None
-        signature: str | None = None
         failure: str | None = None
         stage = "html-parse"
         try:
@@ -352,7 +368,8 @@ class FormExtractor:
             degraded = ladder is not None and (bool(reports) or guard.breached)
             if self.cache is not None and not degraded:
                 with trace.span("cache") as span:
-                    signature = token_signature(tokens)
+                    if signature is None:
+                        signature = token_signature(tokens)
                     entry = self.cache.get(signature)
                     span.count("hit", 1 if entry is not None else 0)
             if entry is not None:

@@ -190,6 +190,16 @@ class Instance:
         cached = self._descendant_iid_mask
         if cached is not None:
             return cached
+        # Usually every child's mask is cached already: one ``|=`` each.
+        mask = 1 << self.iid
+        for child in self.children:
+            child_mask = child._descendant_iid_mask
+            if child_mask is None:
+                break
+            mask |= child_mask
+        else:
+            self._descendant_iid_mask = mask
+            return mask
         # Resolve bottom-up without recursion, mirroring descendant_uids.
         stack: list[Instance] = [self]
         while stack:

@@ -28,6 +28,13 @@ arrays and bitmasks:
   counting frees it; nothing here builds a self-referencing closure
   either.
 
+A recursive chain symbol (seeds ``X -> Y``, steps ``X -> X Y``) whose
+self-``subsumes`` rule is pruned per round is also assembled linearly
+(:func:`drop_doomed_chains`): each round's chains that the rule would
+kill later are dropped before they are registered or counted, so no
+chain starts at a non-source row or branches onto a row a sibling can
+still reach.
+
 Hot counters accumulate in :class:`CoreCounters` and are folded into
 ``ParseStats`` once per parse by the orchestrating
 :class:`~repro.parser.parser.BestEffortParser`, which also schedules
@@ -105,6 +112,10 @@ class PreferenceEntry(NamedTuple):
     #: The condition is ``subsumes``: candidates are the strict coverage
     #: supersets of the loser, and the predicate is never called.
     subsume: bool
+
+
+#: A chain symbol's steps ``X -> X Y`` (see :func:`drop_doomed_chains`).
+ChainSteps = tuple[Production, ...]
 
 
 class ParseCore:
@@ -208,6 +219,7 @@ def instantiate_symbol(
     counters: CoreCounters,
     tick: "GuardTick | None",
     round_preferences: tuple[PreferenceEntry, ...],
+    chain_steps: ChainSteps | None = None,
 ) -> int:
     """Run one symbol's semi-naive fix-point; return #created.
 
@@ -219,7 +231,10 @@ def instantiate_symbol(
     *round_preferences* (the symbol's self-``subsumes`` preferences, see
     :func:`prune_round`) are enforced after every round, so killed
     instances leave the head pool and the frontier before the next round
-    can build on them.
+    can build on them.  With *chain_steps* (a chain symbol's steps, see
+    :func:`drop_doomed_chains`), each round's chains that those
+    preferences would kill later are dropped before they are registered
+    or counted.
     """
     store = core.store
     dirty = core.dirty_symbols
@@ -290,8 +305,11 @@ def instantiate_symbol(
                     break
             if stop:
                 break
+        if chain_steps is not None and not stop:
+            new_instances = drop_doomed_chains(new_instances, chain_steps)
         for instance in new_instances:
             core.register(instance)
+        counters.instances_created += len(new_instances)
         created_total += len(new_instances)
         if new_instances and prune_round(core, round_preferences, counters):
             head_pool = [inst for inst in head_pool if inst.alive]
@@ -364,7 +382,7 @@ def _apply_seminaive(
     tick: "GuardTick | None",
 ) -> list[Instance]:
     """Apply one production over one pool plan, creating at most
-    *budget* new instances."""
+    *budget* new instances (counted once registered, by the caller)."""
     for pool in pools:
         if not pool:
             return []
@@ -399,7 +417,6 @@ def _apply_seminaive(
         cap.combos_left = cap_left
         core.combos_left = core_left
         counters.combos_examined += examined
-        counters.instances_created += len(created)
     return created
 
 
@@ -479,6 +496,214 @@ def _expand(
     for candidate in candidates(position):
         combo[position] = candidate
         yield from _expand(position + 1, combo, candidates)
+
+
+# -- linear chain assembly ------------------------------------------------------------
+
+
+def drop_doomed_chains(
+    new_instances: list[Instance], chain_steps: ChainSteps
+) -> list[Instance]:
+    """One round's new chains, less those a longer chain would kill.
+
+    For a round-pruned symbol ``X`` whose productions are seeds
+    ``X -> Y`` and steps ``X -> X Y`` (a *chain symbol*, *chain_steps*
+    its steps), the self-``subsumes`` preference kills every chain that
+    a longer, non-derived chain covers strictly.  Chains it would kill
+    are dropped as soon as the round builds them, before they are
+    registered, counted or extended.  The round's chains are taken one
+    *group* at a time, the seeds or the extensions of one chain ``x``,
+    in creation order: the order end-of-symbol enforcement takes its
+    losers in, killing each with the first live chain that covers it
+    strictly.  At its turn a chain is dropped when
+
+    * *sub-row*: another chain of its group covers it strictly (for
+      extensions ``x+y`` and ``x+y'``, ``y`` a sub-row of ``y'``);
+    * *source* (seeds) and *skip* (extensions): a live chain of its
+      group -- later in the group, or kept at its own turn -- *feeds*
+      it: a step can append the chain's last row to that chain, whose
+      extension then covers the chain strictly without deriving from it;
+    * *heir*: every chain feeding it was dropped before its turn, but
+      the extension that covers one of them (its *heir*, built here and
+      never registered) can still be stepped onto its row.
+
+    A chain's extensions live until the chain itself dies, so a chain
+    whose dead feeders' heirs cannot reach its row is kept: rows on a
+    staircase, each within a step of the last but not of their union,
+    keep a chain each.  So each chain only starts at a source row and
+    never branches onto a row a sibling can still reach; where rows
+    feed each other in a cycle, the last of them is kept.  Survivors
+    keep their creation order, so both evaluators, which create a
+    round's instances in the same order, drop the same chains.
+    """
+    groups: dict[int, list[Instance]] = {}  # prefix iid (-1: seeds) -> chains
+    for instance in new_instances:
+        children = instance.children
+        prefix = children[0].iid if len(children) > 1 else -1
+        groups.setdefault(prefix, []).append(instance)
+    dropped: set[int] = set()  # ids
+    for group in groups.values():
+        if len(group) > 1:
+            _drop_covered(group, chain_steps, dropped)
+    if not dropped:
+        return new_instances
+    return [inst for inst in new_instances if id(inst) not in dropped]
+
+
+def _drop_covered(
+    group: list[Instance], chain_steps: ChainSteps, dropped: set[int]
+) -> None:
+    """Add to *dropped* (as ``id``) each chain of *group* that the rules
+    of :func:`drop_doomed_chains` drop, in creation order.
+
+    A chain *w* feeds a chain *v* when some step would append *v*'s last
+    row to *w*: the row is disjoint from *w*, and the step's bounds,
+    constraint and constructor accept the pair.  From
+    ``MIN_INDEXED_POOL`` rows on, the bounds window the rows around each
+    witness first, as in enumeration; below it, each pair meets the
+    constraint first, which rejects most of them more cheaply.
+    """
+    rows = [chain.children[-1] for chain in group]
+    sub_rows = _sub_rows(rows)
+    # Two chains of a group can end on one row (through two productions
+    # of one shape), so each row is tested once.
+    holders: dict[int, list[int]] = {}  # id(row) -> positions in group
+    for position, row in enumerate(rows):
+        holders.setdefault(id(row), []).append(position)
+    distinct = [rows[held[0]] for held in holders.values()]
+    table = (
+        GeometryTable(distinct) if len(distinct) >= MIN_INDEXED_POOL else None
+    )
+    feeders: list[list[int]] = [[] for _ in group]
+    for step in chain_steps:
+        symbol = step.components[1]
+        checks = step.bounds_by_target[1]
+        constraint = step.constraint
+        constructor = step.constructor
+        for witness_position, witness in enumerate(group):
+            mask = witness.coverage_mask
+            combo = (witness,)
+            windowed = table is not None
+            for row in table.select(checks, combo) if windowed else distinct:
+                # Production.try_apply's tests, without building the
+                # instance.
+                if (
+                    row.symbol == symbol
+                    and not mask & row.coverage_mask
+                    and constraint(witness, row)
+                    and (windowed or passes(row, checks, combo))
+                    and constructor(witness, row) is not None
+                ):
+                    for position in holders[id(row)]:
+                        feeders[position].append(witness_position)
+    alive = [True] * len(group)
+    # What covers each dropped chain: the position of the live feeder
+    # whose extension killed it, or its built heir, or None (a wider
+    # sibling, or nothing known).
+    covers: list[Instance | int | None] = [None] * len(group)
+    for position, fed_by in enumerate(feeders):
+        if not sub_rows[position]:
+            killer = next(
+                (f for f in fed_by if f > position or alive[f]), None
+            )
+            if killer is not None:
+                covers[position] = killer
+            else:
+                row = rows[position]
+                for feeder in fed_by:
+                    base = _heir(feeder, position, group, rows, alive,
+                                 covers, chain_steps)
+                    if base is not None:
+                        heir = _step_onto(base, row, chain_steps)
+                        if heir is not None:
+                            covers[position] = heir
+                            break
+                else:
+                    continue  # kept
+        alive[position] = False
+        dropped.add(id(group[position]))
+
+
+def _heir(
+    position: int,
+    turn: int,
+    group: list[Instance],
+    rows: list[Instance],
+    alive: list[bool],
+    covers: list[Instance | int | None],
+    chain_steps: ChainSteps,
+) -> Instance | None:
+    """The live chain that covers the dropped chain at *position*'s row
+    at *turn* (a later position), built but not registered: its killer
+    extended by the row while the killer lives, else the killer's own
+    heir extended by it.  ``None`` where no step reaches the row.
+
+    A killer is a later chain or a kept one, so the walk only moves
+    forward; an heir built from decided chains alone is stored in
+    *covers* for later turns.
+    """
+    path: list[int] = []
+    node = position
+    while True:
+        cover = covers[node]
+        if cover is None:
+            return None
+        if isinstance(cover, Instance):
+            base, final = cover, True
+            break
+        path.append(node)
+        if cover > turn or alive[cover]:
+            base, final = group[cover], cover < turn
+            break
+        node = cover
+    for node in reversed(path):
+        extension = _step_onto(base, rows[node], chain_steps)
+        if extension is None:
+            return None
+        base = extension
+        if final:
+            covers[node] = base
+    return base
+
+
+def _sub_rows(rows: list[Instance]) -> list[bool]:
+    """Which of *rows* another of them covers strictly.
+
+    The rows of a group extend one chain (or none), so a chain covers a
+    sibling strictly exactly when its row covers the sibling's row
+    strictly.  Such a row holds the sibling's lowest token, so only the
+    rows holding that token are tested.
+    """
+    masks = [row.coverage_mask for row in rows]
+    holding: dict[int, list[int]] = {}  # token bit -> masks holding it
+    for mask in masks:
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            holding.setdefault(bit, []).append(mask)
+            rest ^= bit
+    return [
+        any(
+            other & mask == mask and other != mask
+            for other in (holding[mask & -mask] if mask else masks)
+        )
+        for mask in masks
+    ]
+
+
+def _step_onto(
+    chain: Instance, row: Instance, chain_steps: ChainSteps
+) -> Instance | None:
+    """*chain* extended by *row* under the first step that takes it,
+    built but not registered; ``None`` if no step does."""
+    for step in chain_steps:
+        if row.symbol == step.components[1] and passes(
+            row, step.bounds_by_target[1], (chain,)
+        ):
+            extension = step.try_apply((chain, row))
+            if extension is not None:
+                return extension
+    return None
 
 
 # -- just-in-time pruning -------------------------------------------------------------

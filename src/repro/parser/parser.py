@@ -15,7 +15,12 @@ Phases:
    instances leave the pool before the next round can extend them, and
    the fix-point ends once no new instance survives.  Without this,
    ``QI -> QI HQI`` stacks nearly every gap-respecting subset of a form's
-   rows before the bigger-interface rule gets to run once.
+   rows before the bigger-interface rule gets to run once.  Those
+   symbols' chains are also assembled linearly: the chains such a rule
+   would kill later -- one starting at a row another row stacks onto,
+   one extended by a sub-row of a wider sibling, one skipping a row a
+   sibling can still reach -- are dropped before they are registered
+   (:func:`repro.parser.core.drop_doomed_chains`).
 
 2. **Partial-tree maximization** (``PRHandler``): keep the maximum partial
    trees under coverage subsumption.
@@ -68,13 +73,15 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.grammar.grammar import TwoPGrammar
 from repro.grammar.instance import Instance
-from repro.grammar.preference import subsumes
+from repro.grammar.preference import always, subsumes
 from repro.grammar.production import Production
 from repro.parser.core import (
+    ChainSteps,
     CoreCounters,
     ParseCore,
     PreferenceEntry,
     SymbolBudget,
+    drop_doomed_chains,
     enforce,
     instantiate_symbol,
     maybe_compact,
@@ -138,6 +145,8 @@ class ParseStats:
     """Counters describing one parse (used by the ablation experiments)."""
 
     tokens: int = 0
+    #: Instances registered with the parse; a chain that linear chain
+    #: assembly drops before registration is never counted.
     instances_created: int = 0
     instances_pruned: int = 0
     rollback_kills: int = 0
@@ -341,6 +350,33 @@ class BestEffortParser:
                 for entry in entries
             )
         }
+        #: Linear chain assembly: a round-pruned symbol whose productions
+        #: are all seeds ``X -> Y`` or steps ``X -> X Y``, and whose
+        #: preferences have no winning criteria, drops each round's chains
+        #: that a longer chain will subsume before registering them (see
+        #: :func:`repro.parser.core.drop_doomed_chains`).  Keyed on the
+        #: productions' shape, so every shipped chain symbol qualifies.
+        self._chain_steps: dict[str, ChainSteps] = {}
+        for symbol, entries in self._round_preferences.items():
+            productions = grammar.productions_for(symbol)
+            seeds = [
+                production for production in productions
+                if len(production.components) == 1
+                and production.components[0] != symbol
+            ]
+            steps = tuple(
+                production for production in productions
+                if len(production.components) == 2
+                and production.components[0] == symbol
+                and production.components[1] != symbol
+            )
+            if (
+                seeds
+                and steps
+                and len(seeds) + len(steps) == len(productions)
+                and all(entry.preference.criteria is always for entry in entries)
+            ):
+                self._chain_steps[symbol] = steps
 
     # -- public API -------------------------------------------------------------
 
@@ -441,10 +477,15 @@ class BestEffortParser:
             if self.config.enable_preferences
             else ()
         )
+        # Chains are dropped for the rule round pruning enforces, so only
+        # where it runs.
+        chain_steps = (
+            self._chain_steps.get(symbol) if round_preferences else None
+        )
         if self.config.evaluation == "naive":
             created = self._instantiate_naive(
                 symbol, productions, state, cap, counters, guard,
-                round_preferences,
+                round_preferences, chain_steps,
             )
         else:
             created = instantiate_symbol(
@@ -455,6 +496,7 @@ class BestEffortParser:
                 counters,
                 guard.tick if guard is not None else None,
                 round_preferences,
+                chain_steps,
             )
         if cap.combos_left <= 0:
             counters.symbol_truncations += 1
@@ -471,13 +513,15 @@ class BestEffortParser:
         counters: CoreCounters,
         guard: ResourceGuard | None = None,
         round_preferences: tuple[PreferenceEntry, ...] = (),
+        chain_steps: ChainSteps | None = None,
     ) -> int:
         """The original fix-point: full cartesian re-enumeration each round
         with a ``seen_keys`` dedup set and no spatial pre-filtering.
 
-        Round pruning matches the semi-naive evaluator's: pools are
-        re-read alive each round, so killed instances drop out of them,
-        and the fix-point ends when no instance of the round survives.
+        Round pruning and chain dropping match the semi-naive evaluator's:
+        pools are re-read alive each round, so killed instances drop out
+        of them, and the fix-point ends when no instance of the round
+        survives.
         """
         seen_keys: set[tuple[str, tuple[int, ...]]] = set()
         created_total = 0
@@ -507,8 +551,11 @@ class BestEffortParser:
                     counters.truncated = True
                     stop = True
                     break
+            if chain_steps is not None and not stop:
+                new_instances = drop_doomed_chains(new_instances, chain_steps)
             for instance in new_instances:
                 state.register(instance)
+            counters.instances_created += len(new_instances)
             created_total += len(new_instances)
             if new_instances and prune_round(
                 state, round_preferences, counters
@@ -559,7 +606,6 @@ class BestEffortParser:
             counters.combos_examined += 1
             instance = production.try_apply(combo)
             if instance is not None:
-                counters.instances_created += 1
                 created.append(instance)
         return created
 

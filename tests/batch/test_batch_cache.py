@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.batch.extractor as batch_module
+import repro.extractor as extractor_module
 from repro.batch import BatchExtractor, usable_cores
-from repro.cache import ExtractionCache
+from repro.bench import generate_token_sets
+from repro.cache import ExtractionCache, token_signature
 from repro.datasets.domains import DOMAINS
 from repro.datasets.generator import GeneratorProfile, SourceGenerator
 from repro.extractor import FormExtractor
@@ -125,6 +128,38 @@ class TestPooledCache:
         assert report.cache_misses == 2
         assert report.cache_hits == 1
         assert report.records[2].cached
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pooled"])
+    def test_each_token_form_is_signed_and_stored_once(
+        self, jobs, monkeypatch
+    ):
+        """In this process: the parent signs and looks up every input,
+        and the job carries the signature; with ``jobs=1`` the extractor
+        that stores a result shares the parent's cache."""
+        forms = generate_token_sets(10)
+        signed = []
+        stored = []
+        real_put = ExtractionCache.put
+
+        def counting_signature(tokens):
+            signed.append(1)
+            return token_signature(tokens)
+
+        def counting_put(cache, signature, entry):
+            stored.append(signature)
+            real_put(cache, signature, entry)
+
+        for module in (batch_module, extractor_module):
+            monkeypatch.setattr(module, "token_signature", counting_signature)
+        monkeypatch.setattr(ExtractionCache, "put", counting_put)
+        with BatchExtractor(jobs=jobs, cache=True, oversubscribe=True) as batch:
+            report = batch.extract_tokens(forms)
+        assert not report.errors
+        distinct = {token_signature(tokens) for tokens in forms}
+        assert len(distinct) == len(forms)
+        assert len(signed) == len(forms)
+        assert sorted(stored) == sorted(distinct)
+        assert report.cache_misses == len(forms)
 
     @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pooled"])
     def test_degraded_records_are_not_cached(self, jobs):

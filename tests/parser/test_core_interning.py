@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from repro.grammar.standard import build_standard_grammar
 from repro.parser.parser import BestEffortParser, ParserConfig
 from tests.parser.test_kernel_equivalence import (
+    _TOKEN_SETS as ZIPF_FORMS,
     _fingerprint,
     shift_ids,
     zipf_soups,
@@ -72,6 +73,32 @@ def _check_interning_invariants(result):
         assert (mask >> inst.iid) & 1
 
 
+def _check_descendant_masks(result):
+    """Every registered instance's descendant-iid mask is the set of iids
+    in its subtree, however it was built: as the parse left it, by the
+    stack walk (parents first, so no child is cached yet), and by one
+    ``|=`` per child (children first, so every child is cached)."""
+    instances = result.instances
+    subtrees = []
+    for inst in instances:
+        mask = 0
+        for node in inst.descendants():
+            mask |= 1 << node.iid
+        subtrees.append(mask)
+    assert [inst.descendant_iid_mask() for inst in instances] == subtrees
+    for order in (instances[::-1], instances):
+        for inst in instances:
+            inst._descendant_iid_mask = None
+        for inst in order:
+            inst.descendant_iid_mask()
+        assert [inst._descendant_iid_mask for inst in instances] == subtrees
+
+
+def test_descendant_masks_on_zipf_forms():
+    for _, tokens in ZIPF_FORMS:
+        _check_descendant_masks(_parse(tokens))
+
+
 def test_interning_invariants_on_form():
     _check_interning_invariants(_parse(_form_tokens()))
 
@@ -118,6 +145,11 @@ class TestInterningProperties:
     @settings(max_examples=40, deadline=None)
     def test_invariants_hold_on_random_soups(self, tokens):
         _check_interning_invariants(_parse(tokens))
+
+    @given(zipf_soups())
+    @settings(max_examples=40, deadline=None)
+    def test_descendant_masks_on_random_soups(self, tokens):
+        _check_descendant_masks(_parse(tokens))
 
     @given(zipf_soups())
     @settings(max_examples=25, deadline=None)

@@ -307,14 +307,20 @@ def test_no_loser_is_beaten_by_its_own_component():
     )
 
 
-#: Exact counters of two wide fuzz mutants (``mutant(20040613, i)``,
+#: Exact counters of five wide fuzz mutants (``mutant(20040613, i)``,
 #: first form, standard grammar): ``(tokens, instances_created,
-#: combos_examined, instances_pruned, rollback_kills, trees)``.  Pinned
-#: when the per-token winner index still enforced every parse past 64
-#: tokens, so wide masks must reproduce its answers exactly.
+#: combos_examined, instances_pruned, rollback_kills, trees)``.  #96 and
+#: #244 were first pinned when the per-token winner index still enforced
+#: every parse past 64 tokens, so wide masks must reproduce its answers
+#: exactly; linear chain assembly left every tree as it was and cut the
+#: counts (#96 built 5,265 instances before it, #244 11,904, #112 30,746,
+#: #307 34,809, #203 54,427).
 _WIDE_MUTANTS = {
-    96: (96, 5_265, 5_645, 758, 4_123, 1),
-    244: (181, 11_904, 12_628, 1_777, 9_402, 1),
+    96: (96, 384, 1_226, 0, 0, 1),
+    112: (386, 1_544, 4_996, 0, 0, 1),
+    203: (639, 2_556, 8_285, 0, 0, 1),
+    244: (181, 725, 2_342, 0, 0, 1),
+    307: (444, 1_776, 5_750, 0, 0, 1),
 }
 
 

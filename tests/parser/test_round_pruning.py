@@ -9,7 +9,10 @@ per-symbol round-preference table emptied, which restores
 end-of-symbol-only enforcement; against it, on every input the oracle
 parses to completion, round pruning must print the same trees, merge the
 same conditions, report the same conflict and missing tokens and the
-same ``truncated`` flag, and never create more instances.
+same ``truncated`` flag, and never create more instances.  Linear
+chain assembly, which drops the chains those preferences would kill
+before they are built, runs only where round pruning does, so the same
+oracle holds it to the same answers.
 
 Where the oracle itself stops at the instance budget its answer is a
 budget-capped partial result, not a ground truth: there only the
@@ -20,7 +23,7 @@ finish at all).
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.navmenu import build_menu_grammar
@@ -33,7 +36,9 @@ from repro.datasets.fixtures import (
 )
 from repro.datasets.generator import GeneratorProfile, SourceGenerator
 from repro.extractor import FormExtractor
+from repro.grammar.dsl import GrammarBuilder
 from repro.grammar.example_g import build_example_grammar
+from repro.grammar.preference import subsumes
 from repro.grammar.standard import build_standard_grammar
 from repro.html.parser import parse_html
 from repro.layout.box import BBox
@@ -43,6 +48,7 @@ from repro.tokens.model import Token
 from repro.tokens.tokenizer import FormTokenizer
 from tests.fuzz.corpus import SEEDS
 from tests.fuzz.mutator import mutations
+from tests.parser.certificate import certify
 from tests.parser.test_kernel_equivalence import (
     _TOKEN_SETS as ZIPF_FORMS,
     zipf_soups,
@@ -173,13 +179,6 @@ def test_matches_oracle_on_fuzz_mutants():
     assert compared >= FUZZ_MUTANTS - 5
 
 
-class TestOracleProperties:
-    @given(zipf_soups(), st.sampled_from(sorted(_GRAMMARS)))
-    @settings(max_examples=75, deadline=None)
-    def test_matches_oracle_on_random_soups(self, tokens, grammar_name):
-        _assert_matches_oracle(_GRAMMARS[grammar_name], tokens)
-
-
 def _soup(layout):
     """Tokens from ``{id: (terminal, (left, right, top, bottom))}``: every
     text reads ``Author`` and textbox *i* is named ``f``*i*."""
@@ -197,11 +196,13 @@ def _soup(layout):
     return tokens
 
 
-#: A 13-token soup on which the two disagree about one tree: round
-#: pruning returns token 11's tree under a ``QI`` root, the oracle under
-#: an ``HQI`` root (there a stack ``QI([0, 4], h11)`` kills the seed
-#: ``QI(h11)`` and is rolled back afterwards; round pruning never builds
-#: it).  See the ROADMAP item on what the oracle leg compares.
+#: A 13-token soup on which round pruning once returned token 11's tree
+#: under a ``QI`` root and the oracle under an ``HQI`` root: in the
+#: oracle a stack ``QI([0, 4], h11)`` kills the seed ``QI(h11)`` and is
+#: rolled back afterwards, a stack round pruning never built (it killed
+#: the sub-row seed ``QI([0, 4])`` first).  Linear chain assembly, like
+#: the oracle, lets that sub-row feed the seeds before it in creation
+#: order, drops ``QI(h11)``, and so returns the oracle's trees.
 _DIVERGENT_SOUP = _soup({
     0: ("textbox", (10, 120, 34, 54)),
     1: ("text", (250, 310, 58, 78)),
@@ -214,8 +215,54 @@ _DIVERGENT_SOUP = _soup({
 })
 
 
-def test_divergent_soup_keeps_models_and_token_reports():
-    """Where the trees differ, the model and the token reports agree."""
+#: A 10-token soup that splits round pruning and the oracle at the
+#: commit before linear chain assembly: the oracle kills the stack
+#: ``QI(h2, h3)`` with ``QI(h2, h0, h3)``, a stack built on the sub-row
+#: ``h0`` of the row ``[0, 1, 7]`` and rolled back afterwards, so token
+#: 3 ends up in a lone ``HQI``; round pruning killed that sub-row before
+#: extending it, so ``QI(h2, h3)`` survived.  Linear chain assembly, like
+#: the oracle, lets a sub-row feed the chains before it in its group.
+_ROLLBACK_SOUP = _soup({
+    0: ("text", (10, 70, 82, 102)),
+    1: ("textbox", (370, 480, 82, 102)),
+    **{i: ("textbox", (10, 120, 10, 30)) for i in (2, 8, 9)},
+    3: ("textbox", (370, 480, 106, 126)),
+    **{i: ("text", (10, 70, 10, 30)) for i in (4, 5, 6)},
+    7: ("text", (370, 430, 106, 126)),
+})
+
+
+def _staircase(ids):
+    """Three texts on a staircase, each 10 px right of and 11 px below
+    the last, with token ids *ids* from the top step down.
+
+    Each ``HQI`` seed feeds the next step (``_row_chain`` allows a 12 px
+    centre offset), but the first two steps' union is 16.5 px off the
+    third, so no chain of all three exists.
+    """
+    return _soup({
+        token: ("text", (10 * step, 10 * step + 10, 11 * step, 11 * step + 10))
+        for step, token in enumerate(ids)
+    })
+
+
+_STAIRCASES = {"down": _staircase((0, 1, 2)), "up": _staircase((2, 1, 0))}
+
+
+class TestOracleProperties:
+    @given(zipf_soups(), st.sampled_from(sorted(_GRAMMARS)))
+    @example(tokens=_DIVERGENT_SOUP, grammar_name="standard")
+    @example(tokens=_ROLLBACK_SOUP, grammar_name="standard")
+    @example(tokens=_STAIRCASES["down"], grammar_name="standard")
+    @example(tokens=_STAIRCASES["up"], grammar_name="standard")
+    @settings(max_examples=75, deadline=None)
+    def test_matches_oracle_on_random_soups(self, tokens, grammar_name):
+        _assert_matches_oracle(_GRAMMARS[grammar_name], tokens)
+
+
+def test_divergent_soup_matches_the_oracle():
+    """The soup that once split the two: the same trees, models and
+    token reports."""
     grammar = _GRAMMARS["standard"]
     pruned = _parse(grammar, _DIVERGENT_SOUP)
     oracle = _parse(grammar, _DIVERGENT_SOUP, oracle=True)
@@ -223,11 +270,49 @@ def test_divergent_soup_keeps_models_and_token_reports():
     assert pruned.stats.instances_created <= oracle.stats.instances_created
     answer = _answer(pruned)
     expected = _answer(oracle)
-    for key in ("conditions", "conflict_tokens", "missing_tokens", "truncated"):
+    for key in (
+        "trees", "conditions", "conflict_tokens", "missing_tokens",
+        "truncated",
+    ):
         assert answer[key] == expected[key], key
     assert answer["conflict_tokens"] == [0, 12]
     assert answer["missing_tokens"] == []
-    assert len(answer["trees"]) == len(expected["trees"])
+
+
+def test_rollback_soup_matches_the_oracle():
+    """The second soup that once split the two: both results certified,
+    and the same trees, models and token reports."""
+    grammar = _GRAMMARS["standard"]
+    pruned = _parse(grammar, _ROLLBACK_SOUP)
+    oracle = _parse(grammar, _ROLLBACK_SOUP, oracle=True)
+    assert not oracle.stats.truncated
+    certify(pruned, grammar)
+    certify(oracle, grammar)
+    assert _answer(pruned) == _answer(oracle)
+
+
+@pytest.mark.parametrize("direction", sorted(_STAIRCASES))
+def test_staircase_matches_the_oracle(direction):
+    """A chain is dropped only while a chain feeding it still lives.
+
+    Down the stairs (creation order), ``HQI(t0)`` feeds and kills
+    ``HQI(t1)``, which fed ``HQI(t2)``; ``HQI(t0 t1)`` cannot reach
+    ``t2``, so ``HQI(t2)`` must be kept and ``QI`` stacks all three
+    texts.  Up the stairs, enforcement takes ``HQI(t2)`` first, while
+    ``HQI(t1 t2)`` still lives, and the oracle too leaves ``t2`` out.
+    """
+    grammar = _GRAMMARS["standard"]
+    tokens = _STAIRCASES[direction]
+    pruned = _parse(grammar, tokens)
+    oracle = _parse(grammar, tokens, oracle=True)
+    assert not oracle.stats.truncated
+    certify(pruned, grammar)
+    assert _answer(pruned) == _answer(oracle)
+    assert pruned.stats.instances_created < oracle.stats.instances_created
+    if direction == "down":
+        (tree,) = pruned.trees
+        assert tree.symbol == "QI"
+        assert tree.coverage == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +328,54 @@ def test_round_pruning_covers_the_recursive_self_subsumption_symbols(
     assert set(parser._round_preferences) == _ROUND_PRUNED[grammar_name]
     for symbol, entries in parser._round_preferences.items():
         assert entries == parser._preferences_by_symbol[symbol]
+
+
+@pytest.mark.parametrize("grammar_name", sorted(_GRAMMARS))
+def test_linear_assembly_covers_every_round_pruned_symbol(grammar_name):
+    """Every shipped round-pruned symbol is a chain symbol: seeds
+    ``X -> Y`` and steps ``X -> X Y`` only."""
+    grammar = _GRAMMARS[grammar_name]
+    parser = BestEffortParser(grammar)
+    assert set(parser._chain_steps) == _ROUND_PRUNED[grammar_name]
+    for symbol, steps in parser._chain_steps.items():
+        assert steps == tuple(
+            production for production in grammar.productions_for(symbol)
+            if len(production.components) == 2
+        )
+        assert all(step.components[0] == symbol for step in steps)
+
+
+def _cycle_grammar():
+    """``X`` chains ``Y`` rows in any order, so every row feeds every
+    other one and no chain starts at a source."""
+    builder = GrammarBuilder("X", name="cycle")
+    builder.terminals("textbox")
+    builder.production("Y", ["textbox"], name="Y-row")
+    builder.production("X", ["Y"], name="X-seed")
+    builder.production("X", ["X", "Y"], name="X-step")
+    builder.prefer("X", over="X", when=subsumes, name="bigger-x")
+    return builder.build()
+
+
+def test_rows_that_feed_each_other_keep_their_chains():
+    """Where rows feed each other in a cycle, the last chain of the
+    cycle is kept: the whole form still parses into one ``X``, as
+    without round pruning."""
+    grammar = _cycle_grammar()
+    tokens = [
+        Token(id=index, terminal="textbox",
+              bbox=BBox(10.0 * index, 10.0 * index + 8, 0.0, 8.0), attrs={})
+        for index in range(3)
+    ]
+    pruned = _parse(grammar, tokens)
+    oracle = _parse(grammar, tokens, oracle=True)
+    assert [tree.pretty() for tree in pruned.trees] == [
+        tree.pretty() for tree in oracle.trees
+    ]
+    (tree,) = pruned.trees
+    assert tree.symbol == "X"
+    assert tree.coverage == {0, 1, 2}
+    assert pruned.stats.instances_created < oracle.stats.instances_created
 
 
 def test_exhaustive_parser_never_prunes_a_round():

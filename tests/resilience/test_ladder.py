@@ -115,7 +115,7 @@ class TestLadderLevels:
             limits=ResourceLimits(deadline_seconds=0.0)
         )
         budgeted = FormExtractor(
-            cache=cache, parser_config=ParserConfig(max_instances=100)
+            cache=cache, parser_config=ParserConfig(max_instances=60)
         )
         capped = [
             FormExtractor(cache=cache).extract_resilient(
@@ -235,23 +235,23 @@ class TestObservability:
 
     def test_degraded_pages_keep_their_parse_counters(self):
         result = FormExtractor(
-            parser_config=ParserConfig(max_instances=40), resilience=True
+            parser_config=ParserConfig(max_instances=30), resilience=True
         ).extract_detailed(QAM_HTML)
         assert result.level == LEVEL_HEURISTIC
         assert result.parse.trees == []
         construct = result.trace.span_named("parse.construct")
-        assert result.parse.stats.instances_created == 40
+        assert result.parse.stats.instances_created == 30
         assert construct.counters == result.parse.stats.counters()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_batch_sums_include_degraded_parse_work(self, jobs):
         with BatchExtractor(
-            jobs=jobs, parser_config=ParserConfig(max_instances=40),
+            jobs=jobs, parser_config=ParserConfig(max_instances=30),
             resilience=True,
         ) as batch:
             report = batch.extract_html([QAM_HTML])
         assert report.records[0].trace["tags"]["degrade.level"] == LEVEL_HEURISTIC
-        assert report.stats.instances_created == 40
+        assert report.stats.instances_created == 30
 
     def test_full_level_leaves_no_degrade_signal(self):
         registry = MetricsRegistry()

@@ -16,12 +16,12 @@ _TOKEN_SETS = bench.generate_token_sets(3)
 #: tolerance band: a change that moves any of them must say why in its
 #: description (``spatial_memo_hits`` is always 0 and left out).
 _BATCH120_COUNTERS = {
-    "instances_created": 16_998,
-    "combos_examined": 27_035,
-    "instances_pruned": 6_181,
-    "rollback_kills": 4_390,
+    "instances_created": 10_048,
+    "combos_examined": 22_586,
+    "instances_pruned": 3_598,
+    "rollback_kills": 23,
     "fixpoint_rounds": 5_180,
-    "combos_prefiltered": 62_602,
+    "combos_prefiltered": 45_564,
     "truncated": 0,
 }
 
