@@ -168,6 +168,14 @@ CATALOG: dict[str, CatalogEntry] = {
                "the preference relation is cyclic across distinct "
                "symbols (A > B > ... > A)",
                "break the cycle so arbitration is a priority order"),
+        # -- construction-side pruning (P014) --------------------------------
+        _entry("P014", SEVERITY_WARNING,
+               "a recursive head arbitrated only by self-subsumes rules is "
+               "not a chain symbol (seeds X -> Y, steps X -> X Y, no "
+               "winning criteria), so every stack is built before the "
+               "rules run",
+               "reshape it into seeds and left-recursive steps X -> X Y, "
+               "or accept the construction cost"),
         # -- coverage (C001-C005) ------------------------------------------
         _entry("C001", SEVERITY_WARNING,
                "the tokenizer emits a token class the grammar does not "

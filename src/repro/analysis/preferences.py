@@ -15,6 +15,9 @@ P005  warning   preference shadowed by an earlier unconditional
                 preference on the same symbol pair
 P006  warning   duplicate preference name
 P007  error     condition or criteria is not a binary predicate
+P014  warning   a recursive head whose every preference is a
+                self-``subsumes`` rule is not a chain symbol, so the
+                parser builds every stack before the rule runs
 ====  ========  ==============================================================
 
 "Trivial" means both the condition and the criteria are the shared
@@ -27,6 +30,12 @@ at the end of each *scheduled* symbol's fix-point
 (``grammar.preferences_involving(symbol)``), and the schedule contains
 production heads only.  A preference whose two symbols are both terminals
 (or headless nonterminals) is therefore dead weight.
+
+P014 reads the parser's own rule
+(:func:`repro.parser.schedule.self_subsuming_heads`): a self-subsuming
+head is pruned during construction only when it is a chain symbol (seeds
+``X -> Y``, steps ``X -> X Y``, criterion-free rules).  Answers do not
+change, only how much is built before the rule runs.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from repro.analysis.diagnostics import (
 from repro.analysis.productions import _arity_problem
 from repro.analysis.view import GrammarView
 from repro.grammar.preference import Preference, always
+from repro.parser.schedule import self_subsuming_heads
 
 
 def is_trivial(preference: Preference) -> bool:
@@ -195,6 +205,31 @@ def check_preferences(view: GrammarView) -> list[Diagnostic]:
                 ),
                 preference=name,
                 data={"count": name_counts[name]},
+            )
+        )
+
+    # P014: self-subsuming heads that linear chain assembly cannot prune.
+    for symbol, steps in sorted(self_subsuming_heads(view).items()):
+        if steps:
+            continue
+        rules = sorted(
+            preference.name for preference in view.preferences
+            if preference.winner_symbol == symbol
+        )
+        diagnostics.append(
+            Diagnostic(
+                code="P014",
+                severity=SEVERITY_WARNING,
+                message=(
+                    f"{symbol!r} is recursive and only self-subsumes rules "
+                    f"({', '.join(rules)}) arbitrate it, but it is not a "
+                    f"chain symbol (seeds {symbol} -> Y, steps "
+                    f"{symbol} -> {symbol} Y, no winning criteria): the "
+                    "parser prunes none of its stacks during construction "
+                    "and builds every one before the rules run"
+                ),
+                symbol=symbol,
+                data={"preferences": rules},
             )
         )
 

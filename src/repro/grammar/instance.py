@@ -303,8 +303,8 @@ class InternTable:
     stored on the instance and usable as an index into :attr:`instances`.
     Dense ids are what let the parser core keep its bookkeeping in
     id-keyed arrays and bitmasks instead of object sets: intern order is
-    registration order, so comparisons and watermarks over iids make the
-    same decisions the global ``uid`` serial would, while staying compact
+    registration order, so comparisons over iids make the same decisions
+    the global ``uid`` serial would, while staying compact
     (``iid`` ranges over ``[0, len(table))`` for one parse, however many
     parses ran before).
 

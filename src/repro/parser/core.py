@@ -12,15 +12,11 @@ arrays and bitmasks:
 
 * preference enforcement tests coverage on each instance's own
   ``coverage_mask`` int (token *t* is bit *t*), one candidate list per
-  loser still alive, and old losers meet only the winners past the
-  watermark, found with one ``bisect`` over the iid-ordered pool;
+  loser still alive;
 * ancestry tests use :meth:`Instance.descendant_iid_mask` -- one
   arbitrary-precision int per subtree, built with ``|=`` instead of a
   hash insert per node, tested with a shift-and-mask instead of a set
   lookup;
-* preference watermarks store the highest interned id seen at the last
-  enforcement pass (iid order equals registration order equals uid
-  order, so every ordering-dependent decision is unchanged);
 * rollback's reverse edges (child -> the instances built from it) are a
   per-iid table on :class:`ParseCore`, filled at registration from each
   instance's children.  Instances link downwards only, so once the core
@@ -28,35 +24,31 @@ arrays and bitmasks:
   counting frees it; nothing here builds a self-referencing closure
   either.
 
-A recursive chain symbol (seeds ``X -> Y``, steps ``X -> X Y``) whose
-self-``subsumes`` rule is pruned per round is also assembled linearly
-(:func:`drop_doomed_chains`): each round's chains that the rule would
-kill later are dropped before they are registered or counted, so no
-chain starts at a non-source row or branches onto a row a sibling can
-still reach.
+A chain symbol (seeds ``X -> Y``, steps ``X -> X Y``, a criterion-free
+self-``subsumes`` rule) is assembled linearly (:func:`drop_doomed_chains`):
+each round's chains that the rule would kill at the end of the symbol
+are dropped before they are registered or counted, so no chain starts at
+a non-source row or branches onto a row a sibling can still reach.
 
 Hot counters accumulate in :class:`CoreCounters` and are folded into
 ``ParseStats`` once per parse by the orchestrating
 :class:`~repro.parser.parser.BestEffortParser`, which also schedules
-symbols and runs maximization.
+symbols, enforces each symbol's preferences once its fix-point ends, and
+runs maximization.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.grammar.instance import Instance, InternTable
-from repro.grammar.preference import Preference
+from repro.grammar.preference import Preference, subsumes
 from repro.grammar.production import Production
 from repro.parser.spatial_index import MIN_INDEXED_POOL, GeometryTable, passes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     GuardTick = Callable[[str], bool]
-
-_iid = attrgetter("iid")
 
 
 class CoreCounters:
@@ -102,18 +94,6 @@ class SymbolBudget:
         self.combos_left = combos_left
 
 
-class PreferenceEntry(NamedTuple):
-    """One enforceable preference, as the parser snapshots it per symbol
-    (see :class:`~repro.parser.parser.BestEffortParser`)."""
-
-    #: Stable per-grammar ordinal; keys the enforcement watermark.
-    ordinal: int
-    preference: Preference
-    #: The condition is ``subsumes``: candidates are the strict coverage
-    #: supersets of the loser, and the predicate is never called.
-    subsume: bool
-
-
 #: A chain symbol's steps ``X -> X Y`` (see :func:`drop_doomed_chains`).
 ChainSteps = tuple[Production, ...]
 
@@ -131,7 +111,6 @@ class ParseCore:
         "table",
         "parents",
         "store",
-        "preference_watermark",
         "dirty_symbols",
         "instances_left",
         "combos_left",
@@ -146,13 +125,6 @@ class ParseCore:
         #: forest a parse returns has no child -> parent back-references.
         self.parents: list[list[Instance]] = []
         self.store: dict[str, list[Instance]] = {}
-        #: Per-preference enforcement watermark: the highest interned id
-        #: registered when the preference was last enforced.  Winner/loser
-        #: pairs that both predate the watermark were already tested then
-        #: (preference predicates are pure functions of the immutable
-        #: instance data, so a no-win verdict is permanent) and are
-        #: skipped on later passes.
-        self.preference_watermark: dict[int, int] = {}
         #: Symbols whose store pool currently contains dead instances --
         #: pool snapshots must filter those; clean pools can be aliased.
         self.dirty_symbols: set[str] = set()
@@ -218,7 +190,6 @@ def instantiate_symbol(
     cap: SymbolBudget,
     counters: CoreCounters,
     tick: "GuardTick | None",
-    round_preferences: tuple[PreferenceEntry, ...],
     chain_steps: ChainSteps | None = None,
 ) -> int:
     """Run one symbol's semi-naive fix-point; return #created.
@@ -228,24 +199,17 @@ def instantiate_symbol(
     created in round *k - 1* (the frontier), so no combination is ever
     examined twice and no dedup set is needed.
 
-    *round_preferences* (the symbol's self-``subsumes`` preferences, see
-    :func:`prune_round`) are enforced after every round, so killed
-    instances leave the head pool and the frontier before the next round
-    can build on them.  With *chain_steps* (a chain symbol's steps, see
-    :func:`drop_doomed_chains`), each round's chains that those
-    preferences would kill later are dropped before they are registered
-    or counted.
+    With *chain_steps* (a chain symbol's steps, see
+    :func:`drop_doomed_chains`), each round's chains that the symbol's
+    self-``subsumes`` rule would kill when the symbol ends are dropped
+    before they are registered or counted.
     """
     store = core.store
     dirty = core.dirty_symbols
     # Pools of non-head components are frozen for the whole fix-point:
-    # no other symbol is instantiated, and round pruning only kills
-    # head-symbol instances (and their ancestors, which at this point
-    # are head-symbol instances too), so snapshot (and index) them once.
-    # A store pool with no tombstones is aliased outright -- it cannot
-    # mutate until this fix-point ends: only the head symbol's pool
-    # grows, and the compaction a killing round may trigger rewrites
-    # only pools holding tombstones, which an aliased pool never gets.
+    # no other symbol is instantiated and nothing dies until it ends, so
+    # snapshot (and index) them once.  A store pool with no tombstones
+    # is aliased outright: only the head symbol's pool grows meanwhile.
     fixed_pools: dict[str, list[Instance]] = {}
     for production in productions:
         for component in production.components:
@@ -311,9 +275,6 @@ def instantiate_symbol(
             core.register(instance)
         counters.instances_created += len(new_instances)
         created_total += len(new_instances)
-        if new_instances and prune_round(core, round_preferences, counters):
-            head_pool = [inst for inst in head_pool if inst.alive]
-            new_instances = [inst for inst in new_instances if inst.alive]
         head_pool.extend(new_instances)
         delta_len = len(new_instances)
         first_round = False
@@ -506,10 +467,11 @@ def drop_doomed_chains(
 ) -> list[Instance]:
     """One round's new chains, less those a longer chain would kill.
 
-    For a round-pruned symbol ``X`` whose productions are seeds
-    ``X -> Y`` and steps ``X -> X Y`` (a *chain symbol*, *chain_steps*
-    its steps), the self-``subsumes`` preference kills every chain that
-    a longer, non-derived chain covers strictly.  Chains it would kill
+    For a *chain symbol* ``X`` (see
+    :func:`repro.parser.schedule.self_subsuming_heads`), whose
+    productions are seeds ``X -> Y`` and steps ``X -> X Y``
+    (*chain_steps*), the criterion-free self-``subsumes`` preference
+    kills every chain that a longer, non-derived chain covers strictly.  Chains it would kill
     are dropped as soon as the round builds them, before they are
     registered, counted or extended.  The round's chains are taken one
     *group* at a time, the seeds or the extensions of one chain ``x``,
@@ -709,71 +671,25 @@ def _step_onto(
 # -- just-in-time pruning -------------------------------------------------------------
 
 
-def prune_round(
-    core: ParseCore,
-    preferences: tuple[PreferenceEntry, ...],
-    counters: CoreCounters,
-) -> bool:
-    """Enforce *preferences* after one fix-point round; True if any died.
-
-    Run by both evaluators on a recursive symbol whose every preference
-    is a self-``subsumes`` one (``winner == loser == symbol``): a stack
-    subsumed by a bigger stack is killed before the next round can
-    extend it, instead of after every subset of rows has been stacked.
-    Such a rule compares the symbol only with itself, so running it
-    mid-fix-point enforces no preference ahead of its schedule slot;
-    the end-of-symbol pass still runs, and the watermark leaves it
-    almost nothing to do.
-
-    A killing round may compact the pools (:func:`maybe_compact`), so a
-    deep recursive fix-point does not drag tens of thousands of
-    tombstones through every later round's candidate scans.  That is safe
-    mid-fix-point: only head-symbol instances die here, so the pools
-    :func:`instantiate_symbol` aliases as frozen stay tombstone-free and
-    are never rewritten.
-    """
-    kills = counters.instances_pruned + counters.rollback_kills
-    for entry in preferences:
-        enforce(core, entry, counters)
-    if counters.instances_pruned + counters.rollback_kills == kills:
-        return False
-    maybe_compact(core, counters)
-    return True
-
-
 def enforce(
-    core: ParseCore, entry: PreferenceEntry, counters: CoreCounters
+    core: ParseCore, preference: Preference, counters: CoreCounters
 ) -> None:
     """Enforce one preference: invalidate losers, roll back ancestors.
 
-    Incremental across passes: a winner/loser pair where both instances
-    predate this preference's watermark was already tested the last
-    time the preference ran, and a no-win verdict is permanent
-    (predicates are pure, ancestry and coverage are immutable, and dead
-    instances never resurrect).  Pools are iid-ordered, so the old
-    losers are a prefix of the alive losers and the winners registered
-    since the watermark a suffix of the alive winners, each found with
-    one ``bisect``: old losers meet only that suffix, new losers meet
-    every alive winner.  Losers are scanned in pool order, old ones
-    first, as one pass over the pool would.
+    Run once for each symbol the preference involves, when that symbol's
+    fix-point ends (paper Figure 11).  Each symbol is instantiated once,
+    in schedule order, so a two-symbol preference's first pass finds the
+    other symbol's pool empty and no pair is ever tested twice.
 
-    Pools keep their dead until :func:`maybe_compact` sweeps them, and
-    in a deep recursive fix-point most of a pool can be dead, so the
+    Pools keep their dead until :func:`maybe_compact` sweeps them, so the
     alive winners are listed once per pass rather than skipped once per
     loser.
     """
-    preference = entry.preference
-    watermark = core.preference_watermark.get(entry.ordinal, -1)
-    core.preference_watermark[entry.ordinal] = len(core.table) - 1
     loser_pool = core.store.get(preference.loser_symbol)
     if not loser_pool:
         return
     winner_pool = core.store.get(preference.winner_symbol)
     if not winner_pool:
-        return
-    if loser_pool[-1].iid <= watermark and winner_pool[-1].iid <= watermark:
-        # Neither pool has grown since the last pass (the tail iid
-        # bounds everything): every surviving pair was already tested.
         return
     losers = [inst for inst in loser_pool if inst.alive]
     if not losers:
@@ -784,39 +700,31 @@ def enforce(
     )
     if not winners:
         return
-    split = bisect_left(losers, watermark + 1, key=_iid)
-    fresh = bisect_left(winners, watermark + 1, key=_iid)
-    if split and fresh < len(winners):
-        _kill_losers(core, entry, losers[:split], winners, fresh, counters)
-    if split < len(losers):
-        _kill_losers(core, entry, losers[split:], winners, 0, counters)
+    _kill_losers(core, preference, losers, winners, counters)
 
 
 def _kill_losers(
     core: ParseCore,
-    entry: PreferenceEntry,
+    preference: Preference,
     losers: list[Instance],
     winners: list[Instance],
-    start: int,
     counters: CoreCounters,
 ) -> None:
-    """Roll back every loser a live winner in ``winners[start:]`` beats.
+    """Roll back every loser a live winner in *winners* beats.
 
     Each loser still alive when the scan reaches it gets one candidate
     list, in pool order, built from its coverage mask rather than from a
-    loser x winner matrix: a strict superset for ``subsumes``, a shared
-    token (the framework's conflict requirement) for every other rule.
-    A kill only depends on *whether* some candidate beats the loser, so
-    the first candidate that passes the ancestry tests and the rule's
-    own predicates decides, and a loser that dies with a derivation
-    chain before its turn never gets a list at all.  *winners* were
-    alive when the pass began; one that has died since is skipped.
+    loser x winner matrix: a strict superset for ``subsumes`` (whose
+    predicate is then never called), a shared token (the framework's
+    conflict requirement) for every other rule.  A kill only depends on
+    *whether* some candidate beats the loser, so the first candidate
+    that passes the ancestry tests and the rule's own predicates
+    decides, and a loser that dies with a derivation chain before its
+    turn never gets a list at all.  *winners* were alive when the pass
+    began; one that has died since is skipped.
     """
-    if start:
-        winners = winners[start:]
-    preference = entry.preference
-    subsume = entry.subsume
     condition = preference.condition
+    subsume = condition is subsumes
     criteria = preference.criteria
     for loser in losers:
         if not loser.alive:  # may have died from an earlier rollback

@@ -9,18 +9,17 @@ Phases:
    every preference involving that symbol is enforced, and each invalidated
    instance is *rolled back* -- its live ancestors are invalidated too, so
    a false instance's descendants (in the derivation sense: the parents it
-   helped build) never survive it.  A recursive symbol whose every
-   preference is a self-``subsumes`` one (``QI``, ``HQI``, ``RBList``,
-   ...) is pruned sooner, after *every round* of its fix-point: killed
-   instances leave the pool before the next round can extend them, and
-   the fix-point ends once no new instance survives.  Without this,
+   helped build) never survive it.  A chain symbol (``QI``, ``HQI``,
+   ``RBList``, ...: seeds ``X -> Y``, steps ``X -> X Y`` and a
+   criterion-free self-``subsumes`` rule, see
+   :func:`repro.parser.schedule.self_subsuming_heads`) is assembled
+   linearly: the chains its rule would kill at the end of the symbol --
+   one starting at a row another row stacks onto, one extended by a
+   sub-row of a wider sibling, one skipping a row a sibling can still
+   reach -- are dropped before they are registered
+   (:func:`repro.parser.core.drop_doomed_chains`).  Without this,
    ``QI -> QI HQI`` stacks nearly every gap-respecting subset of a form's
-   rows before the bigger-interface rule gets to run once.  Those
-   symbols' chains are also assembled linearly: the chains such a rule
-   would kill later -- one starting at a row another row stacks onto,
-   one extended by a sub-row of a wider sibling, one skipping a row a
-   sibling can still reach -- are dropped before they are registered
-   (:func:`repro.parser.core.drop_doomed_chains`).
+   rows before the bigger-interface rule gets to run once.
 
 2. **Partial-tree maximization** (``PRHandler``): keep the maximum partial
    trees under coverage subsumption.
@@ -73,22 +72,20 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.grammar.grammar import TwoPGrammar
 from repro.grammar.instance import Instance
-from repro.grammar.preference import always, subsumes
+from repro.grammar.preference import Preference
 from repro.grammar.production import Production
 from repro.parser.core import (
     ChainSteps,
     CoreCounters,
     ParseCore,
-    PreferenceEntry,
     SymbolBudget,
     drop_doomed_chains,
     enforce,
     instantiate_symbol,
     maybe_compact,
-    prune_round,
 )
 from repro.parser.maximization import covered_tokens, maximal_roots
-from repro.parser.schedule import Schedule
+from repro.parser.schedule import Schedule, self_subsuming_heads
 from repro.tokens.model import Token
 from typing import TYPE_CHECKING, Any
 
@@ -306,77 +303,21 @@ class BestEffortParser:
         self.grammar = grammar
         self.config = config or ParserConfig()
         self.schedule: Schedule = cached_schedule(grammar)
-        #: Stable per-grammar preference ordinals key the core's
-        #: enforcement watermarks.  Preferences whose condition is the
-        #: well-known ``subsumes`` predicate test it as the coverage-mask
-        #: superset itself (see :func:`repro.parser.core._kill_losers`).
-        entries = {
-            id(preference): PreferenceEntry(
-                ordinal, preference, preference.condition is subsumes
-            )
-            for ordinal, preference in enumerate(grammar.preferences)
-        }
         #: ``grammar.preferences_involving`` rebuilt per call scans every
         #: preference; the schedule's symbol set is fixed, so snapshot per
         #: symbol once.
-        self._preferences_by_symbol: dict[
-            str, tuple[PreferenceEntry, ...]
-        ] = {
-            symbol: tuple(
-                entries[id(preference)]
-                for preference in grammar.preferences_involving(symbol)
-            )
+        self._preferences_by_symbol: dict[str, tuple[Preference, ...]] = {
+            symbol: tuple(grammar.preferences_involving(symbol))
             for symbol in self.schedule.order
         }
-        #: Just-in-time pruning per fix-point round: a recursive symbol
-        #: whose every preference is a self-``subsumes`` one (``QI``,
-        #: ``HQI``, ``RBList``, ...) enforces them after each round of its
-        #: fix-point (see :func:`repro.parser.core.prune_round`), so a
-        #: stack that skips a row dies before it is extended further.
-        self._round_preferences: dict[
-            str, tuple[PreferenceEntry, ...]
-        ] = {
-            symbol: entries
-            for symbol, entries in self._preferences_by_symbol.items()
-            if entries
-            and any(
-                symbol in production.components
-                for production in grammar.productions_for(symbol)
-            )
-            and all(
-                entry.subsume
-                and entry.preference.winner_symbol == symbol
-                and entry.preference.loser_symbol == symbol
-                for entry in entries
-            )
+        #: Linear chain assembly: each chain symbol's steps, with which it
+        #: drops each round's chains that its rule will kill before
+        #: registering them (see :func:`repro.parser.core.drop_doomed_chains`).
+        self._chain_steps: dict[str, ChainSteps] = {
+            symbol: steps
+            for symbol, steps in self_subsuming_heads(grammar).items()
+            if steps
         }
-        #: Linear chain assembly: a round-pruned symbol whose productions
-        #: are all seeds ``X -> Y`` or steps ``X -> X Y``, and whose
-        #: preferences have no winning criteria, drops each round's chains
-        #: that a longer chain will subsume before registering them (see
-        #: :func:`repro.parser.core.drop_doomed_chains`).  Keyed on the
-        #: productions' shape, so every shipped chain symbol qualifies.
-        self._chain_steps: dict[str, ChainSteps] = {}
-        for symbol, entries in self._round_preferences.items():
-            productions = grammar.productions_for(symbol)
-            seeds = [
-                production for production in productions
-                if len(production.components) == 1
-                and production.components[0] != symbol
-            ]
-            steps = tuple(
-                production for production in productions
-                if len(production.components) == 2
-                and production.components[0] == symbol
-                and production.components[1] != symbol
-            )
-            if (
-                seeds
-                and steps
-                and len(seeds) + len(steps) == len(productions)
-                and all(entry.preference.criteria is always for entry in entries)
-            ):
-                self._chain_steps[symbol] = steps
 
     # -- public API -------------------------------------------------------------
 
@@ -431,8 +372,10 @@ class BestEffortParser:
                 if exhausted:
                     counters.truncated = True
                 if self.config.enable_preferences:
-                    for entry in self._preferences_by_symbol.get(symbol, ()):
-                        enforce(state, entry, counters)
+                    for preference in self._preferences_by_symbol.get(
+                        symbol, ()
+                    ):
+                        enforce(state, preference, counters)
                     maybe_compact(state, counters)
                 if exhausted:
                     break
@@ -472,20 +415,16 @@ class BestEffortParser:
         cap = SymbolBudget(
             self.config.max_combos_per_instance * max(1, state.instances_left)
         )
-        round_preferences = (
-            self._round_preferences.get(symbol, ())
-            if self.config.enable_preferences
-            else ()
-        )
-        # Chains are dropped for the rule round pruning enforces, so only
-        # where it runs.
+        # Chains are dropped for the rule enforcement runs, so only where
+        # it runs.
         chain_steps = (
-            self._chain_steps.get(symbol) if round_preferences else None
+            self._chain_steps.get(symbol)
+            if self.config.enable_preferences
+            else None
         )
         if self.config.evaluation == "naive":
             created = self._instantiate_naive(
-                symbol, productions, state, cap, counters, guard,
-                round_preferences, chain_steps,
+                symbol, productions, state, cap, counters, guard, chain_steps,
             )
         else:
             created = instantiate_symbol(
@@ -495,7 +434,6 @@ class BestEffortParser:
                 cap,
                 counters,
                 guard.tick if guard is not None else None,
-                round_preferences,
                 chain_steps,
             )
         if cap.combos_left <= 0:
@@ -512,16 +450,11 @@ class BestEffortParser:
         cap: SymbolBudget,
         counters: CoreCounters,
         guard: ResourceGuard | None = None,
-        round_preferences: tuple[PreferenceEntry, ...] = (),
         chain_steps: ChainSteps | None = None,
     ) -> int:
         """The original fix-point: full cartesian re-enumeration each round
         with a ``seen_keys`` dedup set and no spatial pre-filtering.
-
-        Round pruning and chain dropping match the semi-naive evaluator's:
-        pools are re-read alive each round, so killed instances drop out
-        of them, and the fix-point ends when no instance of the round
-        survives.
+        Chain dropping matches the semi-naive evaluator's.
         """
         seen_keys: set[tuple[str, tuple[int, ...]]] = set()
         created_total = 0
@@ -557,10 +490,6 @@ class BestEffortParser:
                 state.register(instance)
             counters.instances_created += len(new_instances)
             created_total += len(new_instances)
-            if new_instances and prune_round(
-                state, round_preferences, counters
-            ):
-                new_instances = [inst for inst in new_instances if inst.alive]
             if stop or not new_instances:
                 return created_total
 

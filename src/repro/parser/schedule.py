@@ -22,7 +22,8 @@ total function (it never raises) shared between the runtime scheduler
 (:func:`build_schedule`) and the static analyzer
 (:mod:`repro.analysis`), so the analyzer's preview of cycles,
 transformations, and relaxations cannot drift from what the parser will
-actually do.
+actually do.  :func:`self_subsuming_heads`, which says which recursive
+symbols the parser assembles linearly, is shared the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol
 
-from repro.grammar.preference import Preference
+from repro.grammar.preference import Preference, always, subsumes
 from repro.grammar.production import Production
 
 #: How an r-edge was accommodated by the greedy scheduler.
@@ -364,6 +365,63 @@ def build_schedule_graph(grammar: SchedulableGrammar) -> ScheduleGraph:
         decisions=tuple(decisions),
         provenance=provenance,
     )
+
+
+def self_subsuming_heads(
+    grammar: SchedulableGrammar,
+) -> dict[str, tuple[Production, ...]]:
+    """Recursive heads whose every preference is a self-``subsumes``
+    rule, each mapped to its chain steps (empty unless a chain symbol).
+
+    A head ``X`` is a *chain symbol* when its productions are seeds
+    ``X -> Y`` and steps ``X -> X Y`` only (``Y`` never ``X``) and its
+    rules have no winning criteria.  The parser assembles a chain
+    symbol linearly (:func:`repro.parser.core.drop_doomed_chains`): it
+    drops the chains its rule would kill before building on them.  Any
+    other head listed here is pruned only when its fix-point ends, after
+    every stack has been built; the analyzer warns about it (``P014``).
+    Total over unvalidated grammars, so parser and lint share it.
+    """
+    productions: dict[str, list[Production]] = {}
+    for production in grammar.productions:
+        productions.setdefault(production.head, []).append(production)
+    rules: dict[str, list[Preference]] = {}
+    for preference in grammar.preferences:
+        for symbol in {preference.winner_symbol, preference.loser_symbol}:
+            rules.setdefault(symbol, []).append(preference)
+    heads: dict[str, tuple[Production, ...]] = {}
+    for symbol, own in productions.items():
+        preferences = rules.get(symbol)
+        if (
+            not preferences
+            or not any(symbol in production.components for production in own)
+            or not all(
+                preference.condition is subsumes
+                and preference.winner_symbol == symbol
+                and preference.loser_symbol == symbol
+                for preference in preferences
+            )
+        ):
+            continue
+        seeds = [
+            production for production in own
+            if len(production.components) == 1
+            and production.components[0] != symbol
+        ]
+        steps = tuple(
+            production for production in own
+            if len(production.components) == 2
+            and production.components[0] == symbol
+            and production.components[1] != symbol
+        )
+        chain = (
+            seeds
+            and steps
+            and len(seeds) + len(steps) == len(own)
+            and all(preference.criteria is always for preference in preferences)
+        )
+        heads[symbol] = steps if chain else ()
+    return heads
 
 
 def build_schedule(grammar: SchedulableGrammar) -> Schedule:

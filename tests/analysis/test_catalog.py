@@ -48,7 +48,7 @@ class TestCatalogSync:
     def test_expected_families_are_present(self):
         for code in (
             "G001", "G010", "G020", "G021", "G022", "G023", "G024",
-            "G030", "G031", "P001", "P010", "P011", "P012", "P013",
+            "G030", "G031", "P001", "P010", "P011", "P012", "P013", "P014",
             "C001", "C002", "C003", "C004", "C005", "S001", "S003",
         ):
             assert code in CATALOG, code

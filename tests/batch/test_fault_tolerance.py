@@ -29,8 +29,8 @@ def _form_body(html):
     return html[start:html.index("</form>")]
 
 
-#: Four wide fuzz mutants in one form, 1,858 tokens that take about 3 s
-#: to parse in full (one of them alone now parses in about 0.1 s).
+#: Four wide fuzz mutants in one form, 1,858 tokens that take about 1.5 s
+#: to parse in full (one of them alone parses in about 0.1 s).
 WIDE_FORM = "<html><body><form>{}</form></body></html>".format("".join(
     f"<div>{_form_body(mutant(20040613, index)[1])}</div>"
     for index in (112, 203, 307, 397)

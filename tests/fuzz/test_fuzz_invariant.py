@@ -6,7 +6,8 @@ For every corpus seed and every deterministic mutant,
 structured -- or raise exactly :class:`~repro.extractor.FormNotFoundError`
 (the one *typed* refusal, for documents with no query form at all).
 Anything else -- any other exception, a hang past the deadline, a result
-whose level is off the ladder -- is a bug.
+whose level is off the ladder, a ``full`` parse that breaks its result
+certificate (``tests/parser/certificate.py``) -- is a bug.
 
 ``REPRO_FUZZ_MUTATIONS`` scales the mutation count (default 200; CI runs
 more), ``REPRO_FUZZ_SEED`` re-seeds the mutator.  A failure names the
@@ -26,6 +27,7 @@ from repro.resilience.guard import ResourceLimits
 from repro.resilience.ladder import LEVELS, ResilienceConfig
 from tests.fuzz.corpus import SEEDS
 from tests.fuzz.mutator import mutations
+from tests.parser.certificate import certify
 
 #: Wall-clock deadline per document.  Tight enough that a runaway loop
 #: fails the suite quickly, loose enough that the resource-attack seeds
@@ -70,6 +72,8 @@ def _assert_survives(extractor: FormExtractor, label: str, html: str) -> None:
         f"{label}: took {elapsed:.1f}s against a "
         f"{DEADLINE_SECONDS:g}s deadline"
     )
+    if result.level == "full":
+        certify(result.parse, extractor.grammar)
 
 
 @pytest.mark.parametrize("name", sorted(SEEDS))

@@ -1,7 +1,7 @@
 """Result certificates: check a parse against the paper's definitions.
 
-The parser's other oracles compare it with a variant of itself (round
-pruning off, the naive evaluator, shifted ids); a mistake both sides
+The parser's other oracles compare it with a variant of itself (linear
+chain assembly off, the naive evaluator, shifted ids); a mistake both sides
 share passes them all.  :func:`certify` instead checks what a result
 must satisfy, from the :class:`~repro.parser.parser.ParseResult` and its
 grammar alone:
@@ -13,7 +13,7 @@ grammar alone:
 * the returned trees are exactly the maximal alive candidate roots
   (§5.3): one per maximal coverage, the larger derivation first, then
   the earlier;
-* no alive instance of a round-pruned symbol (a recursive symbol whose
+* no alive instance of a self-subsuming symbol (a recursive symbol whose
   every preference is a self-``subsumes`` one) is strictly subsumed by
   an alive instance of the same symbol that does not derive from it
   (§4.2: such a pair is the preference's conflict situation with its
@@ -36,11 +36,11 @@ def certify(result: ParseResult, grammar: TwoPGrammar) -> None:
         for node in tree.descendants():
             _check_node(node)
     _check_maximal_roots(result)
-    for symbol in round_pruned_symbols(grammar):
+    for symbol in self_subsuming_symbols(grammar):
         _check_no_subsumed_survivor(result, symbol)
 
 
-def round_pruned_symbols(grammar: TwoPGrammar) -> list[str]:
+def self_subsuming_symbols(grammar: TwoPGrammar) -> list[str]:
     """Recursive symbols whose every preference is a criterion-free
     self-``subsumes`` one, read off the grammar."""
     symbols = []

@@ -16,10 +16,10 @@ from repro.datasets.repository import standard_datasets
 from repro.extractor import FormExtractor
 from repro.parser.parser import BestEffortParser, ExhaustiveParser
 from tests.fuzz.mutator import mutant
-from tests.parser.certificate import certify, round_pruned_symbols
-from tests.parser.test_round_pruning import (
+from tests.parser.certificate import certify, self_subsuming_symbols
+from tests.parser.test_chain_assembly import (
     _GRAMMARS,
-    _ROUND_PRUNED,
+    _SELF_SUBSUMING,
     _batch_form_bodies,
     _tokens_of,
 )
@@ -48,9 +48,9 @@ def _certify_page(extractor, html):
 
 
 @pytest.mark.parametrize("grammar_name", sorted(_GRAMMARS))
-def test_round_pruned_symbols_read_off_the_grammar(grammar_name):
-    symbols = round_pruned_symbols(_GRAMMARS[grammar_name])
-    assert set(symbols) == _ROUND_PRUNED[grammar_name]
+def test_self_subsuming_symbols_read_off_the_grammar(grammar_name):
+    symbols = self_subsuming_symbols(_GRAMMARS[grammar_name])
+    assert set(symbols) == _SELF_SUBSUMING[grammar_name]
 
 
 @pytest.mark.parametrize("dataset", sorted(standard_datasets()))

@@ -2,8 +2,8 @@
 
 The semi-naive fix-point filters candidates through the sorted window of
 :class:`~repro.parser.spatial_index.GeometryTable` and enforces
-preferences on each instance's ``coverage_mask`` int: one candidate list
-per alive loser, and no pair an earlier pass already tested.  Each of
+preferences on each instance's ``coverage_mask`` int, one candidate list
+per alive loser, once per preference and symbol.  Each of
 these must be a pure performance transformation: naive evaluation stays
 the ground truth for trees and models, and the enforcement variants are
 compared on identical geometry, byte for byte (trees, merged models,
@@ -13,17 +13,16 @@ warnings, and every ``ParseStats`` counter):
   put every coverage bit past the first 64 (by 200 in the oracle leg);
 * **reference oracle** -- :func:`reference_enforce`, enforcement by
   definition (every alive loser against every alive winner through
-  :meth:`Preference.applies`, no masks and no watermark), patched over
+  :meth:`Preference.applies`, no masks), patched over
   the production ``enforce``.
 
 Coverage comes from three directions: Zipf-profile generated forms across
 every domain, the shipped grammars beyond the standard one, and
-hypothesis-generated random token soups.  Two wide fuzz mutants pin the
-exact counters of parses past 64 tokens, and the Zipf forms are checked
-to reach both halves of enforcement's old/new split (old losers against
-the winners past the watermark, new losers against the whole pool).
-The standard grammar's ``shares`` conditions are checked against the
-plain closures they replaced.
+hypothesis-generated random token soups.  Five wide fuzz mutants pin the
+exact counters of parses past 64 tokens, and on them and the Zipf forms
+each preference is checked to meet alive losers and alive winners in
+one pass at most per parse.  The standard grammar's ``shares``
+conditions are checked against the plain closures they replaced.
 """
 
 from __future__ import annotations
@@ -149,11 +148,10 @@ def test_enforcement_paths_agree_on_shipped_grammars(grammar_name):
         assert _fingerprint(_parse(grammar, shift_ids(tokens))) == expected
 
 
-def reference_enforce(core, entry, counters):
+def reference_enforce(core, preference, counters):
     """Enforcement by definition: each alive loser, in pool order, is
     rolled back when some alive winner beats it under
-    :meth:`Preference.applies`.  No masks, no watermark."""
-    preference = entry.preference
+    :meth:`Preference.applies`.  No masks."""
     winners = core.store.get(preference.winner_symbol, [])
     for loser in core.store.get(preference.loser_symbol, []):
         if loser.alive and any(
@@ -189,31 +187,39 @@ def test_reference_enforcement_agrees(grammar_name):
         _assert_reference_agrees(grammar, tokens)
 
 
-def test_zipf_forms_reach_both_halves_of_the_split():
-    """The legs above compare the old/new split itself: on the Zipf
-    forms some enforcement passes test old losers against the winners
-    past the watermark and then new losers against the whole pool."""
-    passes = []
+def test_each_preference_meets_both_pools_in_one_pass_at_most():
+    """A preference runs when each of its symbols' fix-point ends, and
+    each symbol is instantiated once, in schedule order: within one
+    parse, at most one pass of a preference finds alive losers and alive
+    winners together, so no pair is ever tested twice.  Enforcing within
+    a fix-point, once per round, breaks this."""
+    meetings = []
     enforce = parser_core.enforce
-    kill_losers = parser_core._kill_losers
 
-    def recording_enforce(*args):
-        passes.append([])
-        enforce(*args)
+    def recording_enforce(core, preference, counters):
+        if any(
+            inst.alive for inst in core.store.get(preference.loser_symbol, ())
+        ) and any(
+            inst.alive for inst in core.store.get(preference.winner_symbol, ())
+        ):
+            meetings.append(preference.name)
+        enforce(core, preference, counters)
 
-    def recording_kill_losers(*args):
-        passes[-1].append(args[4])  # the first winner scanned
-        kill_losers(*args)
-
+    inputs = [
+        (grammar, tokens)
+        for grammar in _GRAMMARS.values()
+        for _, tokens in _TOKEN_SETS
+    ] + [(_GRAMMARS["standard"], _mutant_tokens(i)) for i in _WIDE_MUTANTS]
+    met = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parser_core, "enforce", recording_enforce)
         patch.setattr(parser_module, "enforce", recording_enforce)
-        patch.setattr(parser_core, "_kill_losers", recording_kill_losers)
-        for _, tokens in _TOKEN_SETS:
-            _parse(_GRAMMARS["standard"], tokens)
-    split = [starts for starts in passes if len(starts) == 2]
-    assert split
-    assert all(old > 0 and new == 0 for old, new in split)
+        for grammar, tokens in inputs:
+            meetings.clear()
+            _parse(grammar, tokens)
+            assert len(meetings) == len(set(meetings)), sorted(meetings)
+            met += len(meetings)
+    assert met
 
 
 #: The standard grammar's ``shares`` rules and the payload keys each
@@ -324,12 +330,17 @@ _WIDE_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("index", sorted(_WIDE_MUTANTS))
-def test_wide_mutants_keep_their_counters(index):
+def _mutant_tokens(index):
+    """The first form's tokens of ``mutant(20040613, index)``."""
     _, html = mutant(20040613, index)
     document = parse_html(html)
     forms = document.forms
-    tokens = FormTokenizer(document).tokenize(forms[0] if forms else None)
+    return FormTokenizer(document).tokenize(forms[0] if forms else None)
+
+
+@pytest.mark.parametrize("index", sorted(_WIDE_MUTANTS))
+def test_wide_mutants_keep_their_counters(index):
+    tokens = _mutant_tokens(index)
     result = _parse(_GRAMMARS["standard"], tokens)
     stats = result.stats
     assert (

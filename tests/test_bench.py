@@ -16,12 +16,12 @@ _TOKEN_SETS = bench.generate_token_sets(3)
 #: tolerance band: a change that moves any of them must say why in its
 #: description (``spatial_memo_hits`` is always 0 and left out).
 _BATCH120_COUNTERS = {
-    "instances_created": 10_048,
-    "combos_examined": 22_586,
+    "instances_created": 10_061,
+    "combos_examined": 22_606,
     "instances_pruned": 3_598,
-    "rollback_kills": 23,
+    "rollback_kills": 36,
     "fixpoint_rounds": 5_180,
-    "combos_prefiltered": 45_564,
+    "combos_prefiltered": 45_731,
     "truncated": 0,
 }
 
